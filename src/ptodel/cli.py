@@ -150,16 +150,31 @@ def cmd_oracle(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
+def _deleted_ids(solution: object, n: int) -> list[int]:
+    """The deleted ids of a solution file: a JSON list, or an object whose
+    ``deleted`` key holds one, of distinct integer ids in [0, n)."""
+    if isinstance(solution, dict):
+        solution = solution.get("deleted")
+    if not isinstance(solution, list):
+        raise ValueError('solution must be a list of ids or {"deleted": [...]}')
+    for v in solution:
+        if type(v) is not int or not 0 <= v < n:  # bool is an int subclass
+            raise ValueError(f"solution id {v!r} is not an integer in [0, {n})")
+    if len(set(solution)) != len(solution):
+        raise ValueError("solution lists an id more than once")
+    return solution
+
+
 def cmd_check(cfg: RunConfig) -> int:
     text = _read(cfg.input_path)
     solution = json.loads(_read(cfg.extra["solution"]))
-    deleted = solution.get("deleted", solution if isinstance(solution, list) else [])
     header = next(
         (ln.split()[0] for ln in text.splitlines() if ln.strip() and not ln.startswith("#")),
         "",
     )
     if header == "d":
         inst = parse_instance(text)
+        deleted = _deleted_ids(solution, inst.n)
         bad = verify_fvsp_solution(inst, deleted)
         _emit(
             {
@@ -170,6 +185,7 @@ def cmd_check(cfg: RunConfig) -> int:
         )
         return EXIT_OK
     g = parse_graph(text)
+    deleted = _deleted_ids(solution, g.n)
     remainder, old_ids = g.delete(deleted)
     ok, obstruction = is_ptolemaic(remainder)
     _emit(

@@ -251,7 +251,8 @@ def all_induced_gems(g: WeightedGraph) -> list[VertexSet]:
 
 
 # ---------------------------------------------------------------------------
-# chordality via lexicographic BFS, hole certificates by bounded search
+# chordality via lexicographic BFS; hole certificates: the shortest hole in
+# canonical form (see find_hole), one BFS per edge, O(m·(n+m)) in all
 
 
 def lexbfs_order(g: WeightedGraph) -> list[int]:
@@ -291,62 +292,83 @@ def is_chordal(g: WeightedGraph) -> bool:
     return _peo_from_lexbfs(g, lexbfs_order(g))
 
 
-def _hole_dfs(g: WeightedGraph, s: int, length: int) -> Optional[VertexSet]:
-    bits = g.adj_bits
-    stack: list[int] = [s]
-    in_path = 1 << s
-
-    def extend() -> Optional[VertexSet]:
-        nonlocal in_path
-        last = stack[-1]
-        depth = len(stack)
-        closing = depth == length - 1
-        internal = 0
-        for x in stack[1:-1]:
-            internal |= 1 << x
-        for w in _bits_to_list(bits[last]):
-            if w <= s or (in_path >> w) & 1:
-                continue
-            if bits[w] & internal:
-                continue  # chord to an internal path vertex
-            adj_root = (bits[w] >> s) & 1
-            if closing:
-                if adj_root and stack[1] < w:
-                    return tuple(stack) + (w,)
-                continue
-            if depth >= 2 and adj_root:
-                continue  # premature chord back to the root
-            stack.append(w)
-            in_path |= 1 << w
-            got = extend()
-            stack.pop()
-            in_path ^= 1 << w
-            if got:
-                return got
-        return None
-
-    return extend()
-
-
 def _shortest_hole(g: WeightedGraph) -> Optional[VertexSet]:
-    # Exhaustive search over induced cycles by increasing length.  Each cycle
-    # is rooted at its minimum vertex with the smaller second vertex first,
-    # so every hole is visited once.  Desk-scale inputs only.
-    for length in range(4, g.n + 1):
-        for s in range(g.n):
-            found = _hole_dfs(g, s, length)
-            if found:
-                return found
+    # A hole with minimum vertex s, whose neighbours on it are a < c, is s
+    # plus an induced a-c path with c in N(s) above a and outside N[a], and
+    # with every other vertex in ``inner`` = {v > s} minus N[s].  A shortest
+    # such path has no chord (a chord would shorten it), so one BFS per edge
+    # (s, a) finds the shortest hole through that edge.
+    bits = g.adj_bits
+    best = None  # (length, s, a, inner, targets), first of the least length
+    for s in range(g.n):
+        if best is not None and best[0] == 4:
+            break
+        above = _above(g.n, s)
+        inner = above & ~bits[s]
+        for a in _bits_to_list(bits[s] & above):
+            targets = bits[s] & ~bits[a] & _above(g.n, a)
+            if not targets:
+                continue
+            limit = g.n + 1 if best is None else best[0]
+            length = _hole_length(bits, a, inner, targets, limit)
+            if length is not None:
+                best = (length, s, a, inner, targets)
+    if best is None:
+        return None
+    length, s, a, inner, targets = best
+    return (s,) + _first_path(bits, a, inner, targets, length - 3)
+
+
+def _hole_length(
+    bits: tuple[int, ...], a: int, inner: int, targets: int, limit: int
+) -> Optional[int]:
+    """Vertex count of the shortest hole s, a, ..., c with c in ``targets``
+    and the rest in ``inner``, or None if it has ``limit`` or more."""
+    frontier = seen = 1 << a
+    length = 3  # s, a and c
+    while length < limit:
+        reach = _neighbours(bits, frontier)
+        if reach & targets:
+            return length
+        frontier = reach & inner & ~seen
+        if not frontier:
+            return None
+        seen |= frontier
+        length += 1
     return None
 
 
+def _first_path(
+    bits: tuple[int, ...], a: int, inner: int, targets: int, k: int
+) -> VertexSet:
+    """Lexicographically first path a, x_1..x_k, c with the x_i in ``inner``
+    and c in ``targets``, where k is the fewest inner vertices such a path
+    can have."""
+    # layers[j]: the inner vertices j steps from the targets, for j = 1..k
+    layers = [0, inner & _neighbours(bits, targets)]
+    seen = layers[1]
+    for _ in range(k - 1):
+        layers.append(inner & _neighbours(bits, layers[-1]) & ~seen)
+        seen |= layers[-1]
+    path = [a]
+    for j in range(k, 0, -1):
+        path.append(_lowest(bits[path[-1]] & layers[j]))
+    path.append(_lowest(bits[path[-1]] & targets))
+    return tuple(path)
+
+
 def find_hole(g: WeightedGraph) -> Optional[VertexSet]:
-    """Vertex sequence of some induced cycle of length >= 4, or None iff
-    the graph is chordal."""
+    """The shortest hole in canonical form, or None iff the graph is chordal.
+
+    Canonical form: among the shortest holes, the lexicographically smallest
+    vertex sequence that starts at the hole's minimum vertex and continues
+    with the smaller of that vertex's two hole neighbours.
+    """
     if is_chordal(g):
         return None
     hole = _shortest_hole(g)
-    assert hole is not None, "elimination check and hole search disagree"
+    if hole is None:
+        raise RuntimeError("elimination check and hole search disagree")
     return hole
 
 
@@ -411,6 +433,25 @@ def maximal_cliques(
     if g.n:
         expand(0, full, 0)
     return sorted(tuple(_bits_to_list(mask)) for mask in out)
+
+
+def _above(n: int, v: int) -> int:
+    """Bitmask of the vertices v+1..n-1."""
+    return ((1 << n) - 1) >> (v + 1) << (v + 1)
+
+
+def _lowest(mask: int) -> int:
+    return (mask & -mask).bit_length() - 1
+
+
+def _neighbours(bits: tuple[int, ...], mask: int) -> int:
+    """Union of the neighbourhoods of the vertices in ``mask``."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= bits[low.bit_length() - 1]
+        mask ^= low
+    return out
 
 
 def _bits_to_list(mask: int) -> list[int]:

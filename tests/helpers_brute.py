@@ -9,11 +9,12 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
+from typing import Optional
 
 import numpy as np
 
 from ptodel.fvsp import FvspInstance
-from ptodel.graphs import WeightedGraph
+from ptodel.graphs import VertexSet, WeightedGraph
 
 # ---------------------------------------------------------------------------
 # labeled graph enumeration via edge masks
@@ -96,6 +97,59 @@ def has_hole_brute(g: WeightedGraph) -> bool:
             if _induces_cycle(g, sub):
                 return True
     return False
+
+
+def _bits_to_list(mask: int) -> list[int]:
+    return [v for v in range(mask.bit_length()) if (mask >> v) & 1]
+
+
+def _hole_dfs(g: WeightedGraph, s: int, length: int) -> Optional[VertexSet]:
+    bits = g.adj_bits
+    stack: list[int] = [s]
+    in_path = 1 << s
+
+    def extend() -> Optional[VertexSet]:
+        nonlocal in_path
+        last = stack[-1]
+        depth = len(stack)
+        closing = depth == length - 1
+        internal = 0
+        for x in stack[1:-1]:
+            internal |= 1 << x
+        for w in _bits_to_list(bits[last]):
+            if w <= s or (in_path >> w) & 1:
+                continue
+            if bits[w] & internal:
+                continue  # chord to an internal path vertex
+            adj_root = (bits[w] >> s) & 1
+            if closing:
+                if adj_root and stack[1] < w:
+                    return tuple(stack) + (w,)
+                continue
+            if depth >= 2 and adj_root:
+                continue  # premature chord back to the root
+            stack.append(w)
+            in_path |= 1 << w
+            got = extend()
+            stack.pop()
+            in_path ^= 1 << w
+            if got:
+                return got
+        return None
+
+    return extend()
+
+
+def shortest_hole_brute(g: WeightedGraph) -> Optional[VertexSet]:
+    # Exhaustive search over induced cycles by increasing length.  Each cycle
+    # is rooted at its minimum vertex with the smaller second vertex first,
+    # so every hole is visited once.  Exponential; small inputs only.
+    for length in range(4, g.n + 1):
+        for s in range(g.n):
+            found = _hole_dfs(g, s, length)
+            if found:
+                return found
+    return None
 
 
 def has_gem_brute(g: WeightedGraph) -> bool:

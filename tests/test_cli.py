@@ -3,6 +3,8 @@
 import json
 import random
 
+import pytest
+
 from generators import random_graph
 from ptodel.cli import main
 from ptodel.fixtures import cycle_graph, fixture_graph, path_graph
@@ -175,6 +177,38 @@ class TestCheck:
         spath = write(tmp_path, "sol2.json", json.dumps({"deleted": [0]}))
         code, out, _ = run(capsys, "check", ipath, "--solution", spath)
         assert code == 0 and json.loads(out)["feasible"] is False
+
+    def test_bare_list_solution(self, tmp_path, capsys):
+        gpath = write(tmp_path, "c5.gr", format_graph(cycle_graph(5)))
+        spath = write(tmp_path, "sol.json", json.dumps([0]))
+        code, out, _ = run(capsys, "check", gpath, "--solution", spath)
+        res = json.loads(out)
+        assert code == 0 and res["feasible"] is True and res["weight"] == 1.0
+
+    @pytest.mark.parametrize(
+        "solution",
+        [[7], ["1"], [-1], [1, 1], [True], [1.0], {}, {"vertices": [0]}, "0", None],
+    )
+    def test_bad_solution_exits_2(self, tmp_path, capsys, solution):
+        gpath = write(tmp_path, "c5.gr", format_graph(cycle_graph(5)))
+        spath = write(tmp_path, "sol.json", json.dumps(solution))
+        code, out, err = run(capsys, "check", gpath, "--solution", spath)
+        assert code == 2 and out == "" and err.startswith("error: solution")
+
+    @pytest.mark.parametrize("deleted", [[4], [-1], [2, 2], [False], 2])
+    def test_bad_fvsp_solution_exits_2(self, tmp_path, capsys, deleted):
+        ipath = write(tmp_path, "st.fv", ST_TEXT)
+        spath = write(tmp_path, "sol.json", json.dumps({"deleted": deleted}))
+        code, out, err = run(capsys, "check", ipath, "--solution", spath)
+        assert code == 2 and out == "" and err.startswith("error: solution")
+
+    def test_long_hole_witness(self, tmp_path, capsys):
+        gpath = write(tmp_path, "c2000.gr", format_graph(cycle_graph(2000)))
+        spath = write(tmp_path, "sol.json", json.dumps({"deleted": []}))
+        code, out, _ = run(capsys, "check", gpath, "--solution", spath)
+        res = json.loads(out)
+        assert code == 0 and res["feasible"] is False
+        assert res["witness"] == list(range(2000))
 
 
 class TestGen:

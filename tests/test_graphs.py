@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from generators import random_graph
 from helpers_brute import (
     all_graph_masks,
     graph_from_mask,
@@ -14,7 +15,9 @@ from helpers_brute import (
     is_chordal_greedy_simplicial,
     is_ptolemaic_brute,
     maximal_cliques_brute,
+    shortest_hole_brute,
 )
+from ptodel import graphs
 from ptodel.fixtures import complete_graph, cycle_graph, fixture_graph, path_graph
 from ptodel.graphs import (
     CliqueGuardError,
@@ -76,6 +79,28 @@ class TestHoles:
     def test_house_hole(self):
         hole = find_hole(fixture_graph("house"))
         assert tuple(sorted(hole)) == (1, 2, 3, 4)
+
+    def test_long_cycle_is_its_own_hole(self):
+        assert find_hole(cycle_graph(2000)) == tuple(range(2000))
+
+    def test_diamond_chain_before_the_hole(self):
+        # x_0, x_1, ... joined by diamonds {x_i, p_i, q_i, x_i+1}: chordal, with
+        # 2^k induced x_0-x_k paths, all on ids below the C40 hanging off x_k
+        k = 24
+        edges = []
+        for i in range(k):
+            x, p, q, y = 3 * i, 3 * i + 1, 3 * i + 2, 3 * i + 3
+            edges += [(x, p), (x, q), (p, q), (p, y), (q, y)]
+        ring = list(range(3 * k + 1, 3 * k + 41))
+        edges += [(3 * k, ring[0])]
+        edges += [(u, ring[(i + 1) % 40]) for i, u in enumerate(ring)]
+        g = WeightedGraph(3 * k + 41, edges)
+        assert find_hole(g) == tuple(ring)
+
+    def test_search_disagreeing_with_elimination_raises(self, monkeypatch):
+        monkeypatch.setattr(graphs, "_shortest_hole", lambda g: None)
+        with pytest.raises(RuntimeError, match="disagree"):
+            find_hole(cycle_graph(5))
 
 
 class TestPtolemaicRecognition:
@@ -172,6 +197,20 @@ class TestAgainstBruteForce:
                     adjacent = g.has_edge(u, hole[j])
                     consecutive = j - i == 1 or (i == 0 and j == k - 1)
                     assert adjacent == consecutive
+
+    def test_hole_certificates_match_brute_exhaustive(self):
+        for n in range(1, 7):
+            for mask in all_graph_masks(n):
+                g = graph_from_mask(n, mask)
+                assert find_hole(g) == shortest_hole_brute(g), (n, mask)
+
+    def test_hole_certificates_match_brute_sampled(self):
+        rng = random.Random(43)
+        for n in range(7, 13):
+            for p in (0.15, 0.3, 0.45, 0.6):
+                for _ in range(40):
+                    g = random_graph(rng, n, p)
+                    assert find_hole(g) == shortest_hole_brute(g), g.edges
 
     def test_maximal_cliques_match_brute_exhaustive(self):
         for n in range(1, 6):
