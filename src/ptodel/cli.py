@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
@@ -31,6 +30,7 @@ from .graphs import (
     GraphFormatError,
     find_induced_c4,
     find_induced_gem,
+    first_record_tag,
     format_graph,
     is_ptolemaic,
     parse_graph,
@@ -57,18 +57,6 @@ EXIT_INPUT = 2
 EXIT_STRUCTURE = 3
 
 
-@dataclass
-class RunConfig:
-    command: str
-    input_path: Optional[str] = None
-    params: RoundingParams = field(default_factory=RoundingParams)
-    budget: Optional[int] = None
-    seed: int = 0
-    fmt: str = "json"
-    use_oracle: bool = False
-    extra: dict = field(default_factory=dict)
-
-
 def _emit(obj: dict) -> None:
     print(json.dumps(obj, indent=2, sort_keys=True))
 
@@ -87,10 +75,15 @@ def _read(path: str) -> str:
     return Path(path).read_text()
 
 
-def cmd_solve(cfg: RunConfig) -> int:
-    g = parse_graph(_read(cfg.input_path))
-    res = solve_ptolemaic_deletion(g, cfg.params)
-    if cfg.fmt == "text":
+# Each handler takes the argparse namespace and parses its own options
+# before it reads a file, so a bad option wins over a missing file.
+
+
+def cmd_solve(args: argparse.Namespace) -> int:
+    params = _parse_params(args.params)
+    g = parse_graph(_read(args.input))
+    res = solve_ptolemaic_deletion(g, params)
+    if args.fmt == "text":
         print(f"deleted {len(res.deleted)} vertices, weight {res.weight!r}")
         print("deleted:", " ".join(str(v) for v in res.deleted))
     else:
@@ -98,10 +91,11 @@ def cmd_solve(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_icd(cfg: RunConfig) -> int:
-    g = parse_graph(_read(cfg.input_path))
-    if cfg.use_oracle:
-        icd = brute_force_icd(g, cfg.budget if cfg.budget else 20)
+def cmd_icd(args: argparse.Namespace) -> int:
+    _parse_params(args.params)  # rejected like solve's, though unused here
+    g = parse_graph(_read(args.input))
+    if args.oracle:
+        icd = brute_force_icd(g, args.budget if args.budget else 20)
     else:
         witness = find_induced_c4(g) or find_induced_gem(g)
         if witness is not None:
@@ -111,38 +105,39 @@ def cmd_icd(cfg: RunConfig) -> int:
             )
             return EXIT_STRUCTURE
         icd = build_icd(g)
-    if cfg.fmt == "dot":
+    if args.fmt == "dot":
         print(icd_to_dot(icd), end="")
     else:
         print(dump_icd(icd), end="")
     return EXIT_OK
 
 
-def cmd_fvsp(cfg: RunConfig) -> int:
-    inst = parse_instance(_read(cfg.input_path))
+def cmd_fvsp(args: argparse.Namespace) -> int:
+    params = _parse_params(args.params)
+    inst = parse_instance(_read(args.input))
     violation = validate_instance(inst)
     if violation is not None:
         print(f"invalid instance: {violation}", file=sys.stderr)
         return EXIT_STRUCTURE
-    sol = solve_fvsp(inst, cfg.params)
-    if cfg.fmt == "text":
+    sol = solve_fvsp(inst, params)
+    if args.fmt == "text":
         print(f"deleted {len(sol.deleted)} nodes, weight {sol.weight!r}, theta {sol.theta!r}")
     else:
         _emit(solution_to_json(sol))
     return EXIT_OK
 
 
-def cmd_oracle(cfg: RunConfig) -> int:
-    kind = cfg.extra["kind"]
+def cmd_oracle(args: argparse.Namespace) -> int:
+    kind = args.kind
     if kind == "fvsp":
-        inst = parse_instance(_read(cfg.input_path))
-        budget = OracleBudget(max_fvsp_nodes=cfg.budget) if cfg.budget else OracleBudget()
+        inst = parse_instance(_read(args.input))
+        budget = OracleBudget(max_fvsp_nodes=args.budget) if args.budget else OracleBudget()
         weight, nodes = exact_fvsp(inst, budget)
         _emit({"kind": kind, "weight": weight, "deleted": list(nodes)})
         return EXIT_OK
-    g = parse_graph(_read(cfg.input_path))
+    g = parse_graph(_read(args.input))
     budget = (
-        OracleBudget(max_graph_vertices=cfg.budget) if cfg.budget else OracleBudget()
+        OracleBudget(max_graph_vertices=args.budget) if args.budget else OracleBudget()
     )
     solver = exact_ptolemaic_deletion if kind == "pd" else exact_c4gem_hitting
     weight, vertices = solver(g, budget)
@@ -165,14 +160,10 @@ def _deleted_ids(solution: object, n: int) -> list[int]:
     return solution
 
 
-def cmd_check(cfg: RunConfig) -> int:
-    text = _read(cfg.input_path)
-    solution = json.loads(_read(cfg.extra["solution"]))
-    header = next(
-        (ln.split()[0] for ln in text.splitlines() if ln.strip() and not ln.startswith("#")),
-        "",
-    )
-    if header == "d":
+def cmd_check(args: argparse.Namespace) -> int:
+    text = _read(args.input)
+    solution = json.loads(_read(args.solution))
+    if first_record_tag(text) == "d":
         inst = parse_instance(text)
         deleted = _deleted_ids(solution, inst.n)
         bad = verify_fvsp_solution(inst, deleted)
@@ -199,13 +190,15 @@ def cmd_check(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_gen(cfg: RunConfig) -> int:
-    if cfg.extra.get("fixture"):
-        g = fixtures.fixture_graph(cfg.extra["fixture"])
+def cmd_gen(args: argparse.Namespace) -> int:
+    weights = None
+    if args.weights:
+        lo, hi = (float(t) for t in args.weights.split(","))
+        weights = (lo, hi)
+    if args.fixture:
+        g = fixtures.fixture_graph(args.fixture)
     else:
-        n = cfg.extra["random_n"]
-        p = cfg.extra["p"]
-        g = fixtures.erdos_renyi(n, p, cfg.seed, cfg.extra.get("weights"))
+        g = fixtures.erdos_renyi(args.random, args.p, args.seed, weights)
     print(format_graph(g), end="")
     return EXIT_OK
 
@@ -261,30 +254,6 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _config_from(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(
-        command=args.command,
-        input_path=getattr(args, "input", None),
-        params=_parse_params(getattr(args, "params", None)),
-        budget=getattr(args, "budget", None),
-        seed=getattr(args, "seed", 0),
-        fmt=getattr(args, "fmt", "json"),
-        use_oracle=getattr(args, "oracle", False),
-    )
-    if args.command == "oracle":
-        cfg.extra["kind"] = args.kind
-    if args.command == "check":
-        cfg.extra["solution"] = args.solution
-    if args.command == "gen":
-        cfg.extra["fixture"] = args.fixture
-        cfg.extra["random_n"] = args.random
-        cfg.extra["p"] = args.p
-        if args.weights:
-            lo, hi = (float(t) for t in args.weights.split(","))
-            cfg.extra["weights"] = (lo, hi)
-    return cfg
-
-
 _HANDLERS = {
     "solve": cmd_solve,
     "icd": cmd_icd,
@@ -298,12 +267,7 @@ _HANDLERS = {
 def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = _config_from(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    try:
-        return _HANDLERS[cfg.command](cfg)
+        return _HANDLERS[args.command](args)
     except (
         GraphFormatError,
         FvspFormatError,

@@ -17,7 +17,7 @@ at most one cycle, which the cleanup stage breaks optimally.
 from __future__ import annotations
 
 import math
-
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Optional
@@ -25,7 +25,7 @@ from typing import Iterable, Optional
 import numpy as np
 from scipy.optimize import linprog
 
-from .graphs import _bits_to_list
+from .graphs import _bits_to_list, _mask_of, read_records, union_find
 
 STEP1_TOL = 1e-9
 INTERVAL_TOL = 1e-12
@@ -179,45 +179,9 @@ def validate_instance(inst: FvspInstance) -> Optional[InstanceViolation]:
 
 
 def parse_instance(text: str) -> FvspInstance:
-    n = None
-    m = None
-    weights: dict[int, float] = {}
-    arcs: list[tuple[int, int]] = []
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        try:
-            if parts[0] == "d":
-                if n is not None:
-                    raise FvspFormatError(f"line {lineno}: duplicate header")
-                n, m = int(parts[1]), int(parts[2])
-            elif parts[0] == "n":
-                if n is None:
-                    raise FvspFormatError(f"line {lineno}: n before header")
-                nid = int(parts[1])
-                if not 0 <= nid < n:
-                    raise FvspFormatError(f"line {lineno}: node {nid} out of range")
-                weights[nid] = float(parts[2]) if len(parts) > 2 else 1.0
-            elif parts[0] == "a":
-                if n is None:
-                    raise FvspFormatError(f"line {lineno}: a before header")
-                arcs.append((int(parts[1]), int(parts[2])))
-            else:
-                raise FvspFormatError(f"line {lineno}: unknown record {parts[0]!r}")
-        except (IndexError, ValueError) as exc:
-            if isinstance(exc, FvspFormatError):
-                raise
-            raise FvspFormatError(f"line {lineno}: {raw!r}: {exc}") from exc
-    if n is None:
-        raise FvspFormatError("missing `d <n> <m>` header")
-    if m is not None and m != len(arcs):
-        raise FvspFormatError(f"header declares {m} arcs, file has {len(arcs)}")
-    try:
-        return FvspInstance(n, arcs, [weights.get(v, 1.0) for v in range(n)])
-    except ValueError as exc:
-        raise FvspFormatError(str(exc)) from exc
+    """Parse the FVSP instance text format; nodes without an ``n`` line
+    default to weight 1.0."""
+    return read_records(text, "dna", ("node", "arcs"), FvspFormatError, FvspInstance)
 
 
 def format_instance(inst: FvspInstance) -> str:
@@ -482,67 +446,47 @@ def cleanup_unicyclic(
     produce one.
     """
     rem = sorted(set(remaining))
-    rem_mask = 0
-    for v in rem:
-        rem_mask |= 1 << v
+    rem_mask = _mask_of(rem)
+    edges = [(u, v) for u, v in inst.arcs if rem_mask >> u & 1 and rem_mask >> v & 1]
+    # a component with n_c nodes and k_c closing edges has n_c - 1 + k_c edges
+    root, closing = union_find(inst.n, edges)
+    cycles = Counter(root[u] for u, _ in closing)
+    for v in rem:  # components in order of their smallest node
+        if cycles[root[v]] > 1:
+            n_c = sum(1 for w in rem if root[w] == root[v])
+            raise StructureError(
+                f"remainder component with {n_c} nodes and "
+                f"{n_c - 1 + cycles[root[v]]} edges has more than one cycle; "
+                "rounding bug"
+            )
+    # peel leaves: what survives is exactly the cycle of each component that
+    # has one
     und: dict[int, list[int]] = {v: [] for v in rem}
-    n_edges_in: dict[int, int] = {}
-    comp_of: dict[int, int] = {}
-    for u, v in inst.arcs:
-        if (rem_mask >> u) & 1 and (rem_mask >> v) & 1:
-            und[u].append(v)
-            und[v].append(u)
-    comp_id = 0
-    for s in rem:
-        if s in comp_of:
+    for u, v in edges:
+        und[u].append(v)
+        und[v].append(u)
+    deg = {v: len(ws) for v, ws in und.items()}
+    alive = set(rem)
+    frontier = [v for v in rem if deg[v] <= 1]
+    while frontier:
+        v = frontier.pop()
+        if v not in alive:
             continue
-        stack = [s]
-        comp_of[s] = comp_id
-        members = [s]
-        while stack:
-            a = stack.pop()
-            for b in und[a]:
-                if b not in comp_of:
-                    comp_of[b] = comp_id
-                    members.append(b)
-                    stack.append(b)
-        comp_id += 1
-    comps: list[list[int]] = [[] for _ in range(comp_id)]
-    for v in rem:
-        comps[comp_of[v]].append(v)
-    for u, v in inst.arcs:
-        if (rem_mask >> u) & 1 and (rem_mask >> v) & 1:
-            n_edges_in[comp_of[u]] = n_edges_in.get(comp_of[u], 0) + 1
+        alive.discard(v)
+        for w in und[v]:
+            if w in alive:
+                deg[w] -= 1
+                if deg[w] <= 1:
+                    frontier.append(w)
+    cycle_of: dict[int, list[int]] = {}
+    for v in sorted(alive):
+        cycle_of.setdefault(root[v], []).append(v)
 
     removed_mask = 0
-    for cid, members in enumerate(comps):
-        m_c = n_edges_in.get(cid, 0)
-        n_c = len(members)
-        if m_c < n_c:
-            continue  # already a tree
-        if m_c > n_c:
-            raise StructureError(
-                f"remainder component with {n_c} nodes and {m_c} edges has "
-                "more than one cycle; rounding bug"
-            )
-        # peel leaves: what survives is exactly the unique cycle
-        deg = {v: len([w for w in und[v] if comp_of[w] == cid]) for v in members}
-        alive = set(members)
-        frontier = [v for v in members if deg[v] <= 1]
-        while frontier:
-            v = frontier.pop()
-            if v not in alive:
-                continue
-            alive.discard(v)
-            for w in und[v]:
-                if w in alive:
-                    deg[w] -= 1
-                    if deg[w] <= 1:
-                        frontier.append(w)
-        assert alive, "unicyclic component must have a nonempty 2-core"
+    for cycle in cycle_of.values():
         best_v = None
         best_w = None
-        for v in sorted(alive):
+        for v in cycle:
             wv = sum(
                 inst.weights[d] for d in _bits_to_list(inst.des_masks[v] & rem_mask)
             )
@@ -623,22 +567,9 @@ def verify_fvsp_solution(
         for c in inst.out_adj[v]:
             if c not in sel:
                 return FvspViolation("not-downward-closed", (v, c))
-    parent = list(range(inst.n))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for u, v in inst.arcs:
-        if u in sel or v in sel:
-            continue
-        ru, rv = find(u), find(v)
-        if ru == rv:
-            return FvspViolation("cycle", (u, v))
-        parent[ru] = rv
-    return None
+    kept = [(u, v) for u, v in inst.arcs if u not in sel and v not in sel]
+    closing = union_find(inst.n, kept)[1]
+    return FvspViolation("cycle", closing[0]) if closing else None
 
 
 def solve_fvsp(

@@ -1,9 +1,10 @@
 """Undirected vertex-weighted graphs and the recognizers the pipeline needs.
 
-Vertices are dense integers ``0..n-1``.  Adjacency is stored both as
-frozensets (for readable code) and as int bitmasks (for the subset-heavy
-detectors).  All graphs are immutable after construction; every operation in
-this module is a pure function of its inputs.
+Vertices are dense integers ``0..n-1``; a vertex set is an int bitmask, and
+adjacency is one bitmask per vertex.  All graphs are immutable after
+construction; every operation in this module is a pure function of its
+inputs.  The module also holds the two helpers the other layers share: the
+record reader behind both text formats and a union-find.
 
 Obstruction terminology: a *hole* is an induced cycle of length >= 4, a *gem*
 is an induced path on four vertices plus a fifth vertex adjacent to all four.
@@ -14,9 +15,10 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional, TypeVar
 
 VertexSet = tuple[int, ...]
+T = TypeVar("T")
 
 
 class GraphFormatError(ValueError):
@@ -35,7 +37,7 @@ def vset(vertices: Iterable[int]) -> VertexSet:
 class WeightedGraph:
     """Simple undirected graph with nonnegative per-vertex weights."""
 
-    __slots__ = ("n", "edges", "weights", "adj", "adj_bits")
+    __slots__ = ("n", "edges", "weights", "adj_bits")
 
     def __init__(
         self,
@@ -63,28 +65,18 @@ class WeightedGraph:
             if not all(math.isfinite(x) and x >= 0 for x in w):
                 raise ValueError("vertex weights must be finite and nonnegative")
         self.weights: tuple[float, ...] = w
-        nbr: list[set[int]] = [set() for _ in range(n)]
         bits = [0] * n
         for u, v in self.edges:
-            nbr[u].add(v)
-            nbr[v].add(u)
             bits[u] |= 1 << v
             bits[v] |= 1 << u
-        self.adj: tuple[frozenset[int], ...] = tuple(frozenset(s) for s in nbr)
         self.adj_bits: tuple[int, ...] = tuple(bits)
 
     @property
     def m(self) -> int:
         return len(self.edges)
 
-    def vertices(self) -> range:
-        return range(self.n)
-
     def has_edge(self, u: int, v: int) -> bool:
-        return v in self.adj[u]
-
-    def degree(self, v: int) -> int:
-        return len(self.adj[v])
+        return bool(self.adj_bits[u] >> v & 1)
 
     def closed_bits(self, v: int) -> int:
         return self.adj_bits[v] | (1 << v)
@@ -127,7 +119,74 @@ class WeightedGraph:
 
 
 # ---------------------------------------------------------------------------
-# text format: `p <n> <m>`, optional `v <id> [<weight>]`, `e <u> <v>`, `#` comments
+# text format: `p <n> <m>`, optional `v <id> [<weight>]`, `e <u> <v>`, `#` comments;
+# FVSP instances (`fvsp.parse_instance`) share the reader with `d`, `n`, `a`
+
+
+def _records(text: str):
+    """(line number, raw line, tokens) of each line that is not blank once
+    its ``#`` comment is cut off."""
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        parts = raw.split("#", 1)[0].split()
+        if parts:
+            yield lineno, raw, parts
+
+
+def first_record_tag(text: str) -> str:
+    """Tag of the first record (``p`` for a graph, ``d`` for an FVSP
+    instance), or "" for a file without records."""
+    return next((parts[0] for _, _, parts in _records(text)), "")
+
+
+def read_records(
+    text: str,
+    tags: str,
+    nouns: tuple[str, str],
+    error: type[ValueError],
+    build: Callable[[int, list[tuple[int, int]], list[float]], T],
+) -> T:
+    """Read a header-first record file and return ``build(n, pairs, weights)``.
+
+    ``tags`` are the header, weight and pair record tags (``pve`` for graphs,
+    ``dna`` for FVSP instances): ``<header> <n> <m>``, ``<weight> <id>
+    [<w>]`` with weight 1.0 by default, ``<pair> <u> <v>``.  ``nouns`` name
+    an id and the pairs in messages; every fault, including a ValueError
+    from ``build``, is raised as ``error``.
+    """
+    head, item, pair = tags
+    n = m = None
+    weights: dict[int, float] = {}
+    pairs: list[tuple[int, int]] = []
+    for lineno, raw, parts in _records(text):
+        try:
+            if parts[0] == head:
+                if n is not None:
+                    raise error(f"line {lineno}: duplicate header")
+                n, m = int(parts[1]), int(parts[2])
+            elif parts[0] not in (item, pair):
+                raise error(f"line {lineno}: unknown record {parts[0]!r}")
+            elif n is None:
+                raise error(f"line {lineno}: {parts[0]} before header")
+            elif parts[0] == item:
+                vid = int(parts[1])
+                w = float(parts[2]) if len(parts) > 2 else 1.0
+                if not 0 <= vid < n:
+                    raise error(f"line {lineno}: {nouns[0]} {vid} out of range")
+                weights[vid] = w
+            else:
+                pairs.append((int(parts[1]), int(parts[2])))
+        except (IndexError, ValueError) as exc:
+            if isinstance(exc, error):
+                raise
+            raise error(f"line {lineno}: {raw!r}: {exc}") from exc
+    if n is None:
+        raise error(f"missing `{head} <n> <m>` header")
+    if m != len(pairs):
+        raise error(f"header declares {m} {nouns[1]}, file has {len(pairs)}")
+    try:
+        return build(n, pairs, [weights.get(v, 1.0) for v in range(n)])
+    except ValueError as exc:
+        raise error(str(exc)) from exc
 
 
 def parse_graph(text: str) -> WeightedGraph:
@@ -135,46 +194,7 @@ def parse_graph(text: str) -> WeightedGraph:
 
     Vertices without a ``v`` line default to weight 1.0.
     """
-    n = None
-    m = None
-    weights: dict[int, float] = {}
-    edges: list[tuple[int, int]] = []
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        try:
-            if parts[0] == "p":
-                if n is not None:
-                    raise GraphFormatError(f"line {lineno}: duplicate header")
-                n, m = int(parts[1]), int(parts[2])
-            elif parts[0] == "v":
-                if n is None:
-                    raise GraphFormatError(f"line {lineno}: v before header")
-                vid = int(parts[1])
-                w = float(parts[2]) if len(parts) > 2 else 1.0
-                if not 0 <= vid < n:
-                    raise GraphFormatError(f"line {lineno}: vertex {vid} out of range")
-                weights[vid] = w
-            elif parts[0] == "e":
-                if n is None:
-                    raise GraphFormatError(f"line {lineno}: e before header")
-                edges.append((int(parts[1]), int(parts[2])))
-            else:
-                raise GraphFormatError(f"line {lineno}: unknown record {parts[0]!r}")
-        except (IndexError, ValueError) as exc:
-            if isinstance(exc, GraphFormatError):
-                raise
-            raise GraphFormatError(f"line {lineno}: {raw!r}: {exc}") from exc
-    if n is None:
-        raise GraphFormatError("missing `p <n> <m>` header")
-    if m is not None and m != len(edges):
-        raise GraphFormatError(f"header declares {m} edges, file has {len(edges)}")
-    try:
-        return WeightedGraph(n, edges, [weights.get(v, 1.0) for v in range(n)])
-    except ValueError as exc:
-        raise GraphFormatError(str(exc)) from exc
+    return read_records(text, "pve", ("vertex", "edges"), GraphFormatError, WeightedGraph)
 
 
 def format_graph(g: WeightedGraph) -> str:
@@ -191,17 +211,16 @@ def format_graph(g: WeightedGraph) -> str:
 def _c4_candidates(g: WeightedGraph):
     # A C4 is a non-adjacent pair {b, d} plus a non-adjacent pair of their
     # common neighbors; each square is seen from both diagonals.
+    bits = g.adj_bits
     for b in range(g.n):
-        for d in range(b + 1, g.n):
-            if g.has_edge(b, d):
-                continue
-            common = g.adj_bits[b] & g.adj_bits[d]
-            if bin(common).count("1") < 2:
+        for d in _bits_to_list(_above(g.n, b) & ~bits[b]):
+            common = bits[b] & bits[d]
+            if common.bit_count() < 2:
                 continue
             members = _bits_to_list(common)
             for i, a in enumerate(members):
                 for c in members[i + 1 :]:
-                    if not g.has_edge(a, c):
+                    if not bits[a] >> c & 1:
                         yield vset((a, b, c, d))
 
 
@@ -217,25 +236,21 @@ def all_induced_c4(g: WeightedGraph) -> list[VertexSet]:
     return sorted(set(_c4_candidates(g)))
 
 
-def _is_induced_p4(g: WeightedGraph, quad: tuple[int, ...]) -> bool:
-    degs = []
-    cnt = 0
-    for x in quad:
-        d = sum(1 for y in quad if y != x and g.has_edge(x, y))
-        degs.append(d)
-        cnt += d
-    return cnt == 6 and sorted(degs) == [1, 1, 2, 2]
+def _is_induced_p4(bits: tuple[int, ...], quad: tuple[int, ...]) -> bool:
+    # on four vertices, degrees 1, 1, 2, 2 leave only the path
+    q = _mask_of(quad)
+    return sorted((bits[x] & q).bit_count() for x in quad) == [1, 1, 2, 2]
 
 
 def _gem_candidates(g: WeightedGraph):
     # The apex of a gem is its unique degree-4 vertex, so anchoring the scan
     # at the apex enumerates each gem exactly once.
     for apex in range(g.n):
-        nbrs = sorted(g.adj[apex])
+        nbrs = _bits_to_list(g.adj_bits[apex])
         if len(nbrs) < 4:
             continue
         for quad in itertools.combinations(nbrs, 4):
-            if _is_induced_p4(g, quad):
+            if _is_induced_p4(g.adj_bits, quad):
                 yield vset(quad + (apex,))
 
 
@@ -259,6 +274,7 @@ def lexbfs_order(g: WeightedGraph) -> list[int]:
     """Lexicographic BFS visit order (ties broken by smallest id)."""
     labels: list[list[int]] = [[] for _ in range(g.n)]
     visited = [False] * g.n
+    unvisited = (1 << g.n) - 1
     order: list[int] = []
     for step in range(g.n, 0, -1):
         best = -1
@@ -266,10 +282,10 @@ def lexbfs_order(g: WeightedGraph) -> list[int]:
             if not visited[v] and (best < 0 or labels[v] > labels[best]):
                 best = v
         visited[best] = True
+        unvisited ^= 1 << best
         order.append(best)
-        for u in g.adj[best]:
-            if not visited[u]:
-                labels[u].append(step)
+        for u in _bits_to_list(g.adj_bits[best] & unvisited):
+            labels[u].append(step)
     return order
 
 
@@ -277,14 +293,14 @@ def _peo_from_lexbfs(g: WeightedGraph, order: list[int]) -> bool:
     # Reverse visit order is a perfect elimination ordering iff for each v the
     # earlier neighbors minus the latest one are all adjacent to that one.
     pos = {v: i for i, v in enumerate(order)}
+    seen = 0
     for v in order:
-        earlier = [u for u in g.adj[v] if pos[u] < pos[v]]
-        if not earlier:
-            continue
-        u = max(earlier, key=lambda w: pos[w])
-        for w in earlier:
-            if w != u and not g.has_edge(u, w):
+        earlier = g.adj_bits[v] & seen
+        if earlier:
+            u = max(_bits_to_list(earlier), key=pos.__getitem__)
+            if earlier & ~g.closed_bits(u):
                 return False
+        seen |= 1 << v
     return True
 
 
@@ -461,3 +477,33 @@ def _bits_to_list(mask: int) -> list[int]:
         out.append(low.bit_length() - 1)
         mask ^= low
     return out
+
+
+def _mask_of(vertices: Iterable[int]) -> int:
+    m = 0
+    for v in vertices:
+        m |= 1 << v
+    return m
+
+
+def union_find(
+    n: int, edges: Iterable[tuple[int, int]]
+) -> tuple[list[int], list[tuple[int, int]]]:
+    """Union-find over ``0..n-1``: each node's root, and the edges that
+    closed a cycle, in input order (none iff the edges form a forest)."""
+    parent = list(range(n))
+
+    def find(a: int) -> int:
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    closing = []
+    for a, b in edges:
+        ra, rb = find(a), find(b)
+        if ra == rb:
+            closing.append((a, b))
+        else:
+            parent[ra] = rb
+    return [find(v) for v in range(n)], closing

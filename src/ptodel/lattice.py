@@ -23,13 +23,16 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Optional
 
+from .fvsp import FvspInstance, validate_instance
 from .graphs import (
     CliqueGuardError,
     VertexSet,
     WeightedGraph,
     _bits_to_list,
+    _mask_of,
     maximal_cliques,
     twin_classes,
+    union_find,
 )
 
 
@@ -113,27 +116,7 @@ class InterCliqueDigraph:
         return tuple(sorted((min(p, c), max(p, c)) for p, c in self.arcs))
 
     def underlying_is_forest(self) -> bool:
-        parent = list(range(self.n_nodes))
-
-        def find(a: int) -> int:
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
-
-        for a, b in self.underlying_edges:
-            ra, rb = find(a), find(b)
-            if ra == rb:
-                return False
-            parent[ra] = rb
-        return True
-
-    def node_of_clique(self, clique: VertexSet) -> Optional[int]:
-        return self._clique_index.get(tuple(clique))
-
-    @cached_property
-    def _clique_index(self) -> dict[VertexSet, int]:
-        return {c: i for i, c in enumerate(self.cliques)}
+        return not union_find(self.n_nodes, self.underlying_edges)[1]
 
     def weight_of(self, nodes: Iterable[int]) -> float:
         return float(sum(self.node_weights[x] for x in nodes))
@@ -141,13 +124,6 @@ class InterCliqueDigraph:
 
 # ---------------------------------------------------------------------------
 # construction helpers
-
-
-def _mask_of(vertices: Iterable[int]) -> int:
-    m = 0
-    for v in vertices:
-        m |= 1 << v
-    return m
 
 
 def _assemble(
@@ -423,16 +399,9 @@ def check_laminar_out_trees(
 def check_anc_in_trees(icd: InterCliqueDigraph) -> tuple[bool, Optional[int]]:
     """True iff for every node v the subdigraph induced by its ancestors
     (plus v) is an in-tree rooted at v; otherwise returns the first v whose
-    ancestor set violates it."""
-    for v in range(icd.n_nodes):
-        group = icd.ancestors(v)
-        for u in group:
-            if u == v:
-                continue
-            outdeg = sum(1 for c in icd.children[u] if c in group)
-            if outdeg != 1:
-                return False, v
-    return True, None
+    ancestor set violates it.  The check is ``fvsp.validate_instance``'s."""
+    bad = validate_instance(FvspInstance(icd.n_nodes, icd.arcs, icd.node_weights))
+    return (True, None) if bad is None else (False, bad.node)
 
 
 def is_ptolemaic_via_icd(g: WeightedGraph, max_clique_budget: int = 20) -> bool:

@@ -40,7 +40,7 @@ def is_connected(g: WeightedGraph) -> bool:
     seen = {0}
     stack = [0]
     while stack:
-        for w in g.adj[stack.pop()]:
+        for w in _bits_to_list(g.adj_bits[stack.pop()]):
             if w not in seen:
                 seen.add(w)
                 stack.append(w)
@@ -84,7 +84,7 @@ def _induces_cycle(g: WeightedGraph, sub: tuple[int, ...]) -> bool:
     stack = [sub[0]]
     inside = set(sub)
     while stack:
-        for w in g.adj[stack.pop()]:
+        for w in _bits_to_list(g.adj_bits[stack.pop()]):
             if w in inside and w not in seen:
                 seen.add(w)
                 stack.append(w)
@@ -174,7 +174,7 @@ def is_chordal_greedy_simplicial(g: WeightedGraph) -> bool:
     while alive and changed:
         changed = False
         for v in sorted(alive):
-            nbrs = [w for w in g.adj[v] if w in alive]
+            nbrs = [w for w in _bits_to_list(g.adj_bits[v]) if w in alive]
             if all(
                 g.has_edge(a, b)
                 for i, a in enumerate(nbrs)

@@ -72,6 +72,12 @@ class TestSolve:
         code, _, err = run(capsys, "solve", path, "--params", "0.05,0.55,0.9")
         assert code == 2 and "3*(1-beta)" in err
 
+    @pytest.mark.parametrize("command", ["solve", "fvsp"])
+    def test_bad_params_win_over_missing_file(self, capsys, command):
+        code, out, err = run(capsys, command, "/nonexistent/in.txt", "--params", "x")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: --params must be 'eps,alpha,beta'")
+
     def test_custom_params(self, tmp_path, capsys):
         path = write(tmp_path, "c5.gr", format_graph(cycle_graph(5)))
         code, out, _ = run(capsys, "solve", path, "--params", "0.02,0.52,0.6")
@@ -202,6 +208,16 @@ class TestCheck:
         code, out, err = run(capsys, "check", ipath, "--solution", spath)
         assert code == 2 and out == "" and err.startswith("error: solution")
 
+    @pytest.mark.parametrize(
+        "text", ["  # note\nd 2 1\na 0 1\n", "d 2 1 # c\na 0 1\n"]
+    )
+    def test_fvsp_format_read_past_comments(self, tmp_path, capsys, text):
+        ipath = write(tmp_path, "two.fv", text)
+        spath = write(tmp_path, "sol.json", "[]")
+        code, out, err = run(capsys, "check", ipath, "--solution", spath)
+        assert (code, err) == (0, "")
+        assert json.loads(out) == {"feasible": True, "reason": None, "weight": 0.0}
+
     def test_long_hole_witness(self, tmp_path, capsys):
         gpath = write(tmp_path, "c2000.gr", format_graph(cycle_graph(2000)))
         spath = write(tmp_path, "sol.json", json.dumps({"deleted": []}))
@@ -221,6 +237,11 @@ class TestGen:
         for name in ["diamond", "gem", "house", "domino", "bull", "dart", "cycle5"]:
             code, out, _ = run(capsys, "gen", "--fixture", name)
             assert code == 0 and parse_graph(out).n >= 3
+
+    def test_bad_weights_exit_2(self, capsys):
+        code, out, err = run(capsys, "gen", "--random", "6", "--weights", "1,x")
+        assert (code, out) == (2, "")
+        assert err == "error: could not convert string to float: 'x'\n"
 
     def test_unknown_fixture_exit_2(self, capsys):
         code, _, err = run(capsys, "gen", "--fixture", "nonsense")

@@ -176,8 +176,34 @@ class TestCleanup:
         theta_shape = FvspInstance(
             4, [(0, 1), (0, 2), (0, 3), (1, 3), (2, 3), (1, 2)], [1.0] * 4
         )
-        with pytest.raises(StructureError):
+        with pytest.raises(StructureError) as info:
             cleanup_unicyclic(theta_shape, range(4))
+        assert str(info.value) == (
+            "remainder component with 4 nodes and 6 edges has more than one "
+            "cycle; rounding bug"
+        )
+
+    def test_first_bad_component_is_reported(self):
+        # {0..3} has one cycle and is cleaned; {4..8} has two and trips
+        arcs = [(0, 2), (1, 2), (1, 3), (0, 3)]
+        arcs += [(4, 5), (4, 6), (5, 7), (6, 7), (4, 7), (7, 8)]
+        inst = FvspInstance(9, arcs, [1.0] * 9)
+        with pytest.raises(StructureError) as info:
+            cleanup_unicyclic(inst, range(9))
+        assert str(info.value) == (
+            "remainder component with 5 nodes and 6 edges has more than one "
+            "cycle; rounding bug"
+        )
+
+    def test_bad_components_reported_in_min_vertex_order(self):
+        # two interleaved components with two cycles each; the one holding
+        # node 0 is reported
+        odd = [(1, 3), (1, 5), (3, 7), (5, 7), (1, 7), (7, 9)]
+        even = [(0, 2), (0, 4), (0, 6), (2, 6), (4, 6), (2, 4)]
+        inst = FvspInstance(10, odd + even, [1.0] * 10)
+        with pytest.raises(StructureError) as info:
+            cleanup_unicyclic(inst, range(10))
+        assert "with 4 nodes and 6 edges" in str(info.value)
 
 
 class TestDerandomize:
@@ -243,6 +269,11 @@ class TestVerify:
     def test_remaining_cycle_detected(self):
         bad = verify_fvsp_solution(ST, [])
         assert bad is not None and bad.kind == "cycle"
+
+    def test_remaining_cycle_names_the_closing_arc(self):
+        # `ptodel check` prints this as its reason
+        bad = verify_fvsp_solution(ST, [])
+        assert bad.detail == (1, 3) and str(bad) == "cycle: (1, 3)"
 
 
 class TestParams:
@@ -420,6 +451,34 @@ class TestInstanceFormat:
     def test_malformed(self, text):
         with pytest.raises(FvspFormatError):
             parse_instance(text)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("", "missing `d <n> <m>` header"),
+            ("a 0 1\n", "line 1: a before header"),
+            ("d 2 1\n", "header declares 1 arcs, file has 0"),
+            ("d 2 1\na 0 5\n", "arc (0,5) out of range for n=2"),
+            ("d 1 0\nn 3 1.0\n", "line 2: node 3 out of range"),
+            ("z\n", "line 1: unknown record 'z'"),
+            ("d 1 0\nd 1 0\n", "line 2: duplicate header"),
+            ("d 1 0\nn 0 -2\n", "node weights must be finite and nonnegative"),
+            ("d 1 0\nn 0 inf\n", "node weights must be finite and nonnegative"),
+        ],
+    )
+    def test_malformed_message(self, text, message):
+        with pytest.raises(FvspFormatError) as info:
+            parse_instance(text)
+        assert str(info.value) == message
+
+    def test_weight_fault_reported_before_id_range(self):
+        # one reader serves both formats: it converts a record's tokens
+        # before it checks the id's range, as the graph format always did
+        with pytest.raises(FvspFormatError) as info:
+            parse_instance("d 2 0\nn 5 abc\n")
+        assert str(info.value) == (
+            "line 2: 'n 5 abc': could not convert string to float: 'abc'"
+        )
 
     def test_negative_weight_rejected(self):
         with pytest.raises(FvspFormatError):

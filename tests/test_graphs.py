@@ -300,6 +300,26 @@ class TestGraphFormat:
         with pytest.raises(GraphFormatError):
             parse_graph(text)
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("", "missing `p <n> <m>` header"),
+            ("e 0 1\n", "line 1: e before header"),
+            ("p 2 1\n", "header declares 1 edges, file has 0"),
+            ("p 2 1\ne 0 5\n", "edge (0,5) out of range for n=2"),
+            ("p 2 1\ne 0 0\n", "self-loop at vertex 0"),
+            ("p x y\n", "line 1: 'p x y': invalid literal for int() with base 10: 'x'"),
+            ("q 1 2\n", "line 1: unknown record 'q'"),
+            ("p 2 0\nv 7 1.0\n", "line 2: vertex 7 out of range"),
+            ("p 2 0\np 2 0\n", "line 2: duplicate header"),
+            ("p 1 0\nv 0 nan\n", "vertex weights must be finite and nonnegative"),
+        ],
+    )
+    def test_malformed_message(self, text, message):
+        with pytest.raises(GraphFormatError) as info:
+            parse_graph(text)
+        assert str(info.value) == message
+
 
 class TestWeightedGraphBasics:
     def test_negative_weight_rejected(self):

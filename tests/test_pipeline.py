@@ -7,8 +7,9 @@ import pytest
 
 from generators import random_c4gem_free, random_graph
 from helpers_brute import downward_closed_sets, remainder_is_forest
+from ptodel import pipeline
 from ptodel.fixtures import cycle_graph, fixture_graph, path_graph
-from ptodel.fvsp import FvspInstance
+from ptodel.fvsp import FvspInstance, InstanceViolation
 from ptodel.graphs import (
     WeightedGraph,
     find_induced_c4,
@@ -18,6 +19,7 @@ from ptodel.graphs import (
 from ptodel.lattice import build_icd, is_ptolemaic_via_icd
 from ptodel.oracle import exact_c4gem_hitting, exact_fvsp, exact_ptolemaic_deletion
 from ptodel.pipeline import (
+    PipelineError,
     closure,
     enumerate_obstructions,
     hit_c4_gem,
@@ -124,6 +126,17 @@ class TestReduction:
     def test_empty_graph(self):
         icd, inst = reduce_to_fvsp(WeightedGraph(0, []))
         assert inst.n == 0 and inst.m == 0
+
+    def test_invalid_instance_tagged_once(self, monkeypatch):
+        # reduce_to_fvsp raises its own PipelineError; the wrapper in
+        # solve_ptolemaic_deletion must pass it on, not tag it again
+        monkeypatch.setattr(
+            pipeline, "validate_instance", lambda inst: InstanceViolation("cycle", 0)
+        )
+        with pytest.raises(PipelineError) as info:
+            solve_ptolemaic_deletion(path_graph(3))
+        assert info.value.stage == "reduce"
+        assert str(info.value) == "[reduce] ICD is not a valid instance: cycle at node 0"
 
 
 class TestClosure:
