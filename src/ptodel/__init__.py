@@ -24,13 +24,11 @@ from .graphs import (
     is_ptolemaic,
     maximal_cliques,
     parse_graph,
-    twin_classes,
 )
 from .lattice import (
     InterCliqueDigraph,
     brute_force_icd,
     build_icd,
-    check_anc_in_trees,
     check_laminar_out_trees,
     is_ptolemaic_via_icd,
 )
@@ -42,7 +40,6 @@ from .oracle import (
 )
 from .pipeline import (
     PipelineResult,
-    closure,
     hit_c4_gem,
     lift,
     reduce_to_fvsp,
@@ -60,9 +57,7 @@ __all__ = [
     "WeightedGraph",
     "brute_force_icd",
     "build_icd",
-    "check_anc_in_trees",
     "check_laminar_out_trees",
-    "closure",
     "exact_c4gem_hitting",
     "exact_fvsp",
     "exact_ptolemaic_deletion",
@@ -78,7 +73,6 @@ __all__ = [
     "reduce_to_fvsp",
     "solve_fvsp",
     "solve_ptolemaic_deletion",
-    "twin_classes",
     "validate_instance",
     "verify_fvsp_solution",
 ]

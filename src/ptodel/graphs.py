@@ -400,16 +400,7 @@ def is_ptolemaic(g: WeightedGraph) -> tuple[bool, Optional[VertexSet]]:
 
 
 # ---------------------------------------------------------------------------
-# twin classes and maximal cliques
-
-
-def twin_classes(g: WeightedGraph) -> list[VertexSet]:
-    """Partition of V into maximal groups with identical closed
-    neighborhoods (true twin classes)."""
-    groups: dict[int, list[int]] = {}
-    for v in range(g.n):
-        groups.setdefault(g.closed_bits(v), []).append(v)
-    return sorted(vset(vs) for vs in groups.values())
+# maximal cliques
 
 
 def maximal_cliques(
@@ -426,9 +417,11 @@ def maximal_cliques(
         limit = g.n * g.n + 1
     out: list[int] = []
     bits = g.adj_bits
-    full = (1 << g.n) - 1
+    # Bron-Kerbosch frames (r, p, x, candidates not yet branched on); an
+    # explicit stack, because the depth is the size of the largest clique
+    stack: list[tuple[int, int, int, int]] = []
 
-    def expand(r: int, p: int, x: int) -> None:
+    def enter(r: int, p: int, x: int) -> None:
         if p == 0 and x == 0:
             out.append(r)
             if limit is not None and len(out) >= limit:
@@ -437,17 +430,18 @@ def maximal_cliques(
                     "input is not C4-free"
                 )
             return
-        pool = p | x
-        pivot = max(_bits_to_list(pool), key=lambda u: bin(p & bits[u]).count("1"))
-        cand = p & ~bits[pivot]
-        for v in _bits_to_list(cand):
-            vb = 1 << v
-            expand(r | vb, p & bits[v], x & bits[v])
-            p &= ~vb
-            x |= vb
+        pivot = max(_bits_to_list(p | x), key=lambda u: (p & bits[u]).bit_count())
+        stack.append((r, p, x, p & ~bits[pivot]))
 
     if g.n:
-        expand(0, full, 0)
+        enter(0, (1 << g.n) - 1, 0)
+    while stack:
+        r, p, x, cand = stack.pop()
+        if cand:
+            low = cand & -cand
+            stack.append((r, p & ~low, x | low, cand ^ low))
+            v = low.bit_length() - 1
+            enter(r | low, p & bits[v], x & bits[v])
     return sorted(tuple(_bits_to_list(mask)) for mask in out)
 
 

@@ -9,29 +9,29 @@ of its ICD is a forest, which is what makes this structure the bridge from
 vertex deletion to feedback vertex set.
 
 Two constructions are provided.  ``build_icd`` is the polynomial-time
-algorithm for (C4, gem)-free inputs: it seeds with the true-twin classes,
-closes the family of their source sets (indices of maximal cliques containing
-a clique) under pairwise intersection, and reads the arcs off the reversed
-containment of source sets.  ``brute_force_icd`` enumerates subsets of the
-maximal cliques directly and is the desk-scale oracle the fast construction
-is validated against.
+algorithm for (C4, gem)-free inputs: it closes the per-vertex source masks
+(indices of the maximal cliques containing a vertex) under pairwise
+intersection, and one sweep of each maximal clique's nodes, which there form
+a laminar out-tree, gives the arcs and checks that structure.
+``brute_force_icd`` enumerates subsets of the maximal cliques directly and is
+the desk-scale oracle the fast construction is validated against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain, count
 from typing import Iterable, Optional
 
-from .fvsp import FvspInstance, validate_instance
 from .graphs import (
     CliqueGuardError,
     VertexSet,
     WeightedGraph,
     _bits_to_list,
+    _lowest,
     _mask_of,
     maximal_cliques,
-    twin_classes,
     union_find,
 )
 
@@ -158,64 +158,53 @@ def _node_sort_key(pair: tuple[int, int]) -> tuple[int, tuple[int, ...]]:
     return (-bin(clique_mask).count("1"), tuple(_bits_to_list(clique_mask)))
 
 
-def _cover_arcs(keys: list[int], greater: list[list[int]]) -> list[tuple[int, int]]:
-    """Cover pairs (i, j) of the strict order 'keys[i] proper subset of
-    keys[j]'; ``greater[j]`` lists all i strictly below j in that order."""
-    arcs = []
-    for j, ups in enumerate(greater):
-        for i in ups:
-            # i covers j unless some k sits strictly between: keys[i] < keys[k]
-            if not any(
-                k != i and keys[i] & keys[k] == keys[i] and keys[i] != keys[k]
-                for k in ups
-            ):
-                arcs.append((i, j))
-    return arcs
+def _clique_forest(
+    cliques: list[int], srcs: list[int], mc_masks: list[int]
+) -> tuple[set[tuple[int, int]], Optional[tuple]]:
+    """Visit each maximal clique M's nodes (clique and source masks) largest
+    first; a node's parent is the last node seen that holds its vertices.
+    M's family is a laminar out-tree exactly when M's node comes first and
+    each later node finds one holder for all its vertices.  Returns the
+    parent arcs (then the cover relation of all nodes) and None, or a witness
+    ``(m, None, None)`` (no node M first) or ``(m, p, x)`` (p, the holder of
+    x's lowest vertex, does not hold all of x)."""
+    members: list[list[int]] = [[] for _ in mc_masks]
+    for x in sorted(range(len(cliques)), key=lambda i: -cliques[i].bit_count()):
+        for m in _bits_to_list(srcs[x]):
+            members[m].append(x)
+    arcs: set[tuple[int, int]] = set()
+    for m, family in enumerate(members):
+        if not family or cliques[family[0]] != mc_masks[m]:
+            return arcs, (m, None, None)
+        holder = dict.fromkeys(_bits_to_list(mc_masks[m]), family[0])
+        for x in family[1:]:
+            vs = _bits_to_list(cliques[x])
+            p = holder.get(_lowest(cliques[x]))
+            if p is None or any(holder.get(v) != p for v in vs):
+                return arcs, (m, p, x)
+            arcs.add((p, x))
+            holder.update(dict.fromkeys(vs, x))
+    return arcs, None
 
 
-def build_icd(g: WeightedGraph) -> InterCliqueDigraph:
-    """Polynomial-time ICD construction for (C4, gem)-free graphs.
-
-    Seeds with the source sets of the true-twin classes, closes under
-    pairwise intersection (discarding empty ones) until a fixpoint, then
-    materializes each source set as a node whose clique is the intersection
-    of its maximal cliques.  Structural guards (node count above 2n^3,
-    fixpoint not reached within n rounds, a non-laminar per-maximal-clique
-    family) raise IcdStructureError; they indicate the precondition failed.
-    """
-    n = g.n
-    try:
-        mc = maximal_cliques(g, c4_free=True)
-    except CliqueGuardError as exc:
-        raise IcdStructureError(str(exc)) from exc
-    mc_masks = [_mask_of(c) for c in mc]
+def _close_sources(seeds: list[int], n: int) -> set[int]:
+    """Close source masks under nonempty pairwise intersection, intersecting
+    only the previous round's new sets with the family (every other pair met
+    in an earlier round).  Guards: 2n^3 sets and n + 1 rounds."""
     node_bound = max(2 * n * n * n, 1)
-
-    src_family: set[int] = set()
-    for cls in twin_classes(g):
-        cmask = _mask_of(cls)
-        smask = 0
-        for i, mm in enumerate(mc_masks):
-            if cmask & mm == cmask:
-                smask |= 1 << i
-        src_family.add(smask)
-
-    rounds = 0
-    while True:
-        fresh: set[int] = set()
-        family = sorted(src_family)
-        for i, a in enumerate(family):
-            for b in family[i + 1 :]:
-                c = a & b
-                if c and c not in src_family:
-                    fresh.add(c)
-        if not fresh:
-            break
-        src_family |= fresh
-        rounds += 1
-        if len(src_family) > node_bound:
+    family = set(seeds)
+    old: list[int] = []
+    new = list(family)
+    for rounds in count(1):
+        fresh = {a & b for i, a in enumerate(new) for b in chain(old, new[i + 1 :])}
+        old += new
+        new = list(fresh - family - {0})
+        if not new:
+            return family
+        family.update(new)
+        if len(family) > node_bound:
             raise IcdStructureError(
-                f"{len(src_family)} clique-intersection nodes exceeds the "
+                f"{len(family)} clique-intersection nodes exceeds the "
                 f"2n^3 = {node_bound} bound; input is not (C4, gem)-free"
             )
         if rounds > n + 1:
@@ -223,6 +212,30 @@ def build_icd(g: WeightedGraph) -> InterCliqueDigraph:
                 "source-set closure did not stabilize within the height "
                 "bound; input is not (C4, gem)-free"
             )
+
+
+def build_icd(g: WeightedGraph) -> InterCliqueDigraph:
+    """Polynomial-time ICD construction for (C4, gem)-free graphs.
+
+    Closes the per-vertex source masks (one per true-twin class) under
+    pairwise intersection semi-naively, materializes each source set as the
+    intersection of its maximal cliques, and reads the arcs off one sweep of
+    each maximal clique's laminar family; ``phi`` reads each vertex's mask.
+    Structural guards (node count above 2n^3, fixpoint not reached within n
+    rounds, equal cliques, a family that is not a laminar out-tree) raise
+    IcdStructureError; they indicate the precondition failed.
+    """
+    n = g.n
+    try:
+        mc = maximal_cliques(g, c4_free=True)
+    except CliqueGuardError as exc:
+        raise IcdStructureError(str(exc)) from exc
+    mc_masks = [_mask_of(c) for c in mc]
+    vertex_src = [0] * n
+    for i, c in enumerate(mc):
+        for v in c:
+            vertex_src[v] |= 1 << i
+    src_family = _close_sources(vertex_src, n)
 
     def clique_of(smask: int) -> int:
         cm = (1 << n) - 1
@@ -236,38 +249,17 @@ def build_icd(g: WeightedGraph) -> InterCliqueDigraph:
     if len({cm for cm, _ in node_pairs}) != len(node_pairs):
         raise IcdStructureError("distinct source sets produced equal cliques")
 
-    # arcs: reversal of the source-set containment order
-    src_masks = [s for _, s in node_pairs]
-    greater: list[list[int]] = []
-    for j, sj in enumerate(src_masks):
-        ups = [
-            i
-            for i, si in enumerate(src_masks)
-            if si != sj and si & sj == si
-        ]
-        greater.append(ups)
-    arcs = _cover_arcs(src_masks, greater)
-
-    src_index = {s: i for i, (_, s) in enumerate(node_pairs)}
-    phi: list[int] = []
-    for v in range(n):
-        smask = 0
-        for i, mm in enumerate(mc_masks):
-            if (mm >> v) & 1:
-                smask |= 1 << i
-        x = src_index.get(smask)
-        if x is None:
-            raise IcdStructureError(f"no node carries the source set of vertex {v}")
-        phi.append(x)
-
-    icd = _assemble(g, mc, node_pairs, arcs, phi)
-    ok, witness = check_laminar_out_trees(icd)
-    if not ok:
+    arcs, witness = _clique_forest(
+        [cm for cm, _ in node_pairs], [s for _, s in node_pairs], mc_masks
+    )
+    if witness is not None:
         raise IcdStructureError(
             f"per-maximal-clique family is not an out-tree: {witness}; "
             "input is not (C4, gem)-free"
         )
-    return icd
+    src_index = {s: i for i, (_, s) in enumerate(node_pairs)}
+    phi = [src_index[s] for s in vertex_src]
+    return _assemble(g, mc, node_pairs, list(arcs), phi)
 
 
 def brute_force_icd(g: WeightedGraph, max_clique_budget: int = 20) -> InterCliqueDigraph:
@@ -361,47 +353,18 @@ def brute_force_icd(g: WeightedGraph, max_clique_budget: int = 20) -> InterCliqu
 def check_laminar_out_trees(
     icd: InterCliqueDigraph,
 ) -> tuple[bool, Optional[tuple]]:
-    """For every maximal clique M, the nodes contained in M must form a
-    laminar family and induce an out-tree rooted at M's node.
-
-    Returns (True, None) or (False, witness); the witness names the maximal
-    clique index and the offending node pair or node.
-    """
-    masks = [_mask_of(c) for c in icd.cliques]
-    for m_idx in range(len(icd.max_cliques)):
-        members = [i for i, s in enumerate(icd.src_sets) if m_idx in s]
-        for a_pos, a in enumerate(members):
-            for b in members[a_pos + 1 :]:
-                inter = masks[a] & masks[b]
-                if inter and inter != masks[a] and inter != masks[b]:
-                    return False, (m_idx, a, b)
-        roots = [
-            i for i in members if icd.cliques[i] == icd.max_cliques[m_idx]
-        ]
-        if len(roots) != 1:
-            return False, (m_idx, None, None)
-        root = roots[0]
-        member_set = set(members)
-        indeg = {i: 0 for i in members}
-        for p, c in icd.arcs:
-            if p in member_set and c in member_set:
-                indeg[c] += 1
-        for i in members:
-            want = 0 if i == root else 1
-            if indeg[i] != want:
-                return False, (m_idx, i, None)
-        reach = icd.descendants(root) & member_set
-        if len(reach) != len(members):
-            return False, (m_idx, None, None)
-    return True, None
-
-
-def check_anc_in_trees(icd: InterCliqueDigraph) -> tuple[bool, Optional[int]]:
-    """True iff for every node v the subdigraph induced by its ancestors
-    (plus v) is an in-tree rooted at v; otherwise returns the first v whose
-    ancestor set violates it.  The check is ``fvsp.validate_instance``'s."""
-    bad = validate_instance(FvspInstance(icd.n_nodes, icd.arcs, icd.node_weights))
-    return (True, None) if bad is None else (False, bad.node)
+    """For every maximal clique M, the nodes inside M must form a laminar
+    out-tree rooted at M's node, and the arcs must be exactly those trees'
+    arcs.  Returns (True, None) or (False, witness): ``_clique_forest``'s, or
+    ``(None, p, c)`` for the least arc found on one side only."""
+    arcs, witness = _clique_forest(
+        [_mask_of(c) for c in icd.cliques],
+        [_mask_of(s) for s in icd.src_sets],
+        [_mask_of(c) for c in icd.max_cliques],
+    )
+    if witness is None and sorted(icd.arcs) != sorted(arcs):
+        witness = (None, *min(set(icd.arcs) ^ arcs, default=(None, None)))
+    return witness is None, witness
 
 
 def is_ptolemaic_via_icd(g: WeightedGraph, max_clique_budget: int = 20) -> bool:
@@ -412,36 +375,6 @@ def is_ptolemaic_via_icd(g: WeightedGraph, max_clique_budget: int = 20) -> bool:
     else:
         icd = build_icd(g)
     return icd.underlying_is_forest()
-
-
-def icd_equivalent(a: InterCliqueDigraph, b: InterCliqueDigraph) -> bool:
-    """Equality of ICDs with cliques as node identities (map comparison, not
-    graph isomorphism)."""
-    if set(a.cliques) != set(b.cliques):
-        return False
-    if set(a.max_cliques) != set(b.max_cliques):
-        return False
-    arcs_a = {(a.cliques[p], a.cliques[c]) for p, c in a.arcs}
-    arcs_b = {(b.cliques[p], b.cliques[c]) for p, c in b.arcs}
-    if arcs_a != arcs_b:
-        return False
-    srcs_a = {
-        a.cliques[i]: frozenset(a.max_cliques[m] for m in s)
-        for i, s in enumerate(a.src_sets)
-    }
-    srcs_b = {
-        b.cliques[i]: frozenset(b.max_cliques[m] for m in s)
-        for i, s in enumerate(b.src_sets)
-    }
-    if srcs_a != srcs_b:
-        return False
-    phi_a = {v: a.cliques[x] for v, x in enumerate(a.phi)}
-    phi_b = {v: b.cliques[x] for v, x in enumerate(b.phi)}
-    if phi_a != phi_b:
-        return False
-    wts_a = {a.cliques[i]: w for i, w in enumerate(a.node_weights)}
-    wts_b = {b.cliques[i]: w for i, w in enumerate(b.node_weights)}
-    return wts_a == wts_b
 
 
 # ---------------------------------------------------------------------------

@@ -121,29 +121,6 @@ def reduce_to_fvsp(
     return icd, inst
 
 
-def closure(icd: InterCliqueDigraph, seeds: Iterable[int]) -> frozenset[int]:
-    """Least superset of ``seeds`` absorbing (a) every zero-weight descendant
-    of a member and (b) every node with empty preimage whose immediate
-    descendants are all absorbed."""
-    closed = set(seeds)
-    changed = True
-    while changed:
-        changed = False
-        for x in list(closed):
-            for d in icd.descendants(x, include_self=False):
-                if d not in closed and icd.node_weights[d] == 0.0:
-                    closed.add(d)
-                    changed = True
-        for x in range(icd.n_nodes):
-            if x in closed or icd.phi_inv[x]:
-                continue
-            kids = icd.children[x]
-            if kids and all(c in closed for c in kids):
-                closed.add(x)
-                changed = True
-    return frozenset(closed)
-
-
 def lift(icd: InterCliqueDigraph, nodes: Iterable[int]) -> VertexSet:
     """Vertices whose canonical clique lies in ``nodes``.
 

@@ -4,7 +4,9 @@ suite."""
 from __future__ import annotations
 
 import random
+from functools import lru_cache
 
+from ptodel.fixtures import complete_graph
 from ptodel.fvsp import FvspInstance
 from ptodel.graphs import (
     WeightedGraph,
@@ -32,6 +34,13 @@ def random_graph(
             for _ in range(n)
         ]
     return WeightedGraph(n, edges, w)
+
+
+@lru_cache(maxsize=None)
+def large_clique(k: int) -> WeightedGraph:
+    """``complete_graph(k)``, built once per test process: K1100 has 604,450
+    edges and takes seconds to build, and two test modules use it."""
+    return complete_graph(k)
 
 
 def random_c4gem_free(

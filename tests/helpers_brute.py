@@ -2,19 +2,22 @@
 
 Everything here deliberately avoids the production code paths: recognizers
 work by exhaustive subset scans, chordality by greedy simplicial elimination,
-and the FVSP reference by literal enumeration of downward-closed sets.
+and the FVSP reference by literal enumeration of downward-closed sets.  The
+ICD section holds the analysis helpers the tests use to compare lattices and
+to state the lifting lemma (``icd_equivalent``, ``closure``).
 """
 
 from __future__ import annotations
 
 import itertools
 from functools import lru_cache
-from typing import Optional
+from typing import Iterable, Optional
 
 import numpy as np
 
 from ptodel.fvsp import FvspInstance
-from ptodel.graphs import VertexSet, WeightedGraph
+from ptodel.graphs import VertexSet, WeightedGraph, vset
+from ptodel.lattice import InterCliqueDigraph
 
 # ---------------------------------------------------------------------------
 # labeled graph enumeration via edge masks
@@ -186,6 +189,15 @@ def is_chordal_greedy_simplicial(g: WeightedGraph) -> bool:
     return not alive
 
 
+def twin_classes(g: WeightedGraph) -> list[VertexSet]:
+    """Partition of V into maximal groups with identical closed
+    neighborhoods (true twin classes)."""
+    groups: dict[int, list[int]] = {}
+    for v in range(g.n):
+        groups.setdefault(g.closed_bits(v), []).append(v)
+    return sorted(vset(vs) for vs in groups.values())
+
+
 def maximal_cliques_brute(g: WeightedGraph) -> list[tuple[int, ...]]:
     cliques = []
     for size in range(1, g.n + 1):
@@ -268,7 +280,60 @@ def exact_fvsp_by_ideals(inst: FvspInstance) -> tuple[float, frozenset[int]]:
 
 
 # ---------------------------------------------------------------------------
-# ICD cycle structure
+# ICD comparison, closure and cycle structure
+
+
+def icd_equivalent(a: InterCliqueDigraph, b: InterCliqueDigraph) -> bool:
+    """Equality of ICDs with cliques as node identities (map comparison, not
+    graph isomorphism)."""
+    if set(a.cliques) != set(b.cliques):
+        return False
+    if set(a.max_cliques) != set(b.max_cliques):
+        return False
+    arcs_a = {(a.cliques[p], a.cliques[c]) for p, c in a.arcs}
+    arcs_b = {(b.cliques[p], b.cliques[c]) for p, c in b.arcs}
+    if arcs_a != arcs_b:
+        return False
+    srcs_a = {
+        a.cliques[i]: frozenset(a.max_cliques[m] for m in s)
+        for i, s in enumerate(a.src_sets)
+    }
+    srcs_b = {
+        b.cliques[i]: frozenset(b.max_cliques[m] for m in s)
+        for i, s in enumerate(b.src_sets)
+    }
+    if srcs_a != srcs_b:
+        return False
+    phi_a = {v: a.cliques[x] for v, x in enumerate(a.phi)}
+    phi_b = {v: b.cliques[x] for v, x in enumerate(b.phi)}
+    if phi_a != phi_b:
+        return False
+    wts_a = {a.cliques[i]: w for i, w in enumerate(a.node_weights)}
+    wts_b = {b.cliques[i]: w for i, w in enumerate(b.node_weights)}
+    return wts_a == wts_b
+
+
+def closure(icd: InterCliqueDigraph, seeds: Iterable[int]) -> frozenset[int]:
+    """Least superset of ``seeds`` absorbing (a) every zero-weight descendant
+    of a member and (b) every node with empty preimage whose immediate
+    descendants are all absorbed."""
+    closed = set(seeds)
+    changed = True
+    while changed:
+        changed = False
+        for x in list(closed):
+            for d in icd.descendants(x, include_self=False):
+                if d not in closed and icd.node_weights[d] == 0.0:
+                    closed.add(d)
+                    changed = True
+        for x in range(icd.n_nodes):
+            if x in closed or icd.phi_inv[x]:
+                continue
+            kids = icd.children[x]
+            if kids and all(c in closed for c in kids):
+                closed.add(x)
+                changed = True
+    return frozenset(closed)
 
 
 def icd_cycles(icd) -> list[list[int]]:

@@ -14,7 +14,9 @@ import pytest
 from generators import random_c4gem_free, random_graph, random_multitree
 from helpers_brute import (
     all_graph_masks,
+    closure,
     graph_from_mask,
+    icd_equivalent,
     is_connected,
     remainder_is_forest,
 )
@@ -39,7 +41,6 @@ from ptodel.graphs import (
 from ptodel.lattice import (
     brute_force_icd,
     build_icd,
-    icd_equivalent,
     is_ptolemaic_via_icd,
 )
 from ptodel.oracle import (
@@ -48,7 +49,7 @@ from ptodel.oracle import (
     exact_fvsp,
     exact_ptolemaic_deletion,
 )
-from ptodel.pipeline import closure, lift, solve_ptolemaic_deletion
+from ptodel.pipeline import lift, solve_ptolemaic_deletion
 
 EPS, ALPHA, BETA = DEFAULT_PARAMS.epsilon, DEFAULT_PARAMS.alpha, DEFAULT_PARAMS.beta
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from generators import random_graph
+from generators import large_clique, random_graph
 from helpers_brute import (
     all_graph_masks,
     graph_from_mask,
@@ -16,6 +16,7 @@ from helpers_brute import (
     is_ptolemaic_brute,
     maximal_cliques_brute,
     shortest_hole_brute,
+    twin_classes,
 )
 from ptodel import graphs
 from ptodel.fixtures import complete_graph, cycle_graph, fixture_graph, path_graph
@@ -32,7 +33,6 @@ from ptodel.graphs import (
     is_ptolemaic,
     maximal_cliques,
     parse_graph,
-    twin_classes,
 )
 
 
@@ -140,8 +140,26 @@ class TestMaximalCliques:
         assert maximal_cliques(complete_graph(4)) == [(0, 1, 2, 3)]
 
     def test_guard_fires(self):
-        with pytest.raises(CliqueGuardError):
+        with pytest.raises(
+            CliqueGuardError,
+            match=r"^more than 1 maximal cliques on 4 vertices; input is not C4-free$",
+        ):
             maximal_cliques(fixture_graph("diamond"), guard=2)
+
+    def test_large_clique_without_recursion(self):
+        # the search goes one level deeper per clique vertex, past Python's
+        # default recursion limit of 1000
+        assert maximal_cliques(large_clique(1100)) == [tuple(range(1100))]
+
+    def test_clique_with_pendant_paths(self):
+        # K6 on 3..8 with the pendant paths 8-0-1, 3-9-10-11 and 5-2
+        edges = [(u, v) for u in range(3, 9) for v in range(u + 1, 9)]
+        edges += [(8, 0), (0, 1), (3, 9), (9, 10), (10, 11), (5, 2)]
+        g = WeightedGraph(12, edges)
+        assert maximal_cliques(g) == [
+            (0, 1), (0, 8), (2, 5), (3, 4, 5, 6, 7, 8), (3, 9), (9, 10), (10, 11),
+        ]
+        assert maximal_cliques(g) == maximal_cliques_brute(g)
 
     def test_c4_free_declaration_holds_on_free_graphs(self):
         rng = random.Random(11)

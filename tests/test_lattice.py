@@ -8,21 +8,28 @@ from helpers_brute import (
     all_graph_masks,
     graph_from_mask,
     icd_cycles,
+    icd_equivalent,
     segment_length,
 )
-from generators import random_c4gem_free
+from generators import large_clique, random_c4gem_free
 from ptodel.fixtures import complete_graph, cycle_graph, fixture_graph, path_graph
-from ptodel.graphs import find_hole, find_induced_c4, find_induced_gem, is_ptolemaic
+from ptodel.fvsp import FvspInstance, validate_instance
+from ptodel.graphs import (
+    _mask_of,
+    find_hole,
+    find_induced_c4,
+    find_induced_gem,
+    is_ptolemaic,
+)
 from ptodel.lattice import (
     BruteForceBudgetError,
     IcdStructureError,
     InterCliqueDigraph,
+    _close_sources,
     brute_force_icd,
     build_icd,
-    check_anc_in_trees,
     check_laminar_out_trees,
     dump_icd,
-    icd_equivalent,
     icd_to_dot,
     is_ptolemaic_via_icd,
 )
@@ -30,6 +37,11 @@ from ptodel.lattice import (
 
 def _is_free(g):
     return find_induced_c4(g) is None and find_induced_gem(g) is None
+
+
+def _anc_violation(icd):
+    """The ancestor in-tree check: ``validate_instance`` on the ICD's arcs."""
+    return validate_instance(FvspInstance(icd.n_nodes, icd.arcs, icd.node_weights))
 
 
 def _sample_icds(seed=5, count=40):
@@ -77,8 +89,16 @@ class TestBuildExamples:
                 assert icd.node_weights[i] == 1.0
 
     def test_gem_is_rejected(self):
-        with pytest.raises(IcdStructureError):
+        with pytest.raises(
+            IcdStructureError,
+            match=r"^per-maximal-clique family is not an out-tree: \(\d+, \d+, \d+\); ",
+        ):
             build_icd(fixture_graph("gem"))
+
+    def test_large_clique_single_node(self):
+        icd = build_icd(large_clique(1100))
+        assert icd.n_nodes == 1 and icd.arcs == ()
+        assert icd.phi == (0,) * 1100
 
     def test_empty_graph(self):
         icd = build_icd(graph_from_mask(0, 0))
@@ -179,6 +199,45 @@ class TestOracleEquivalence:
             )
             assert icd_equivalent(build_icd(g), brute_force_icd(g))
 
+    def test_random_free_n15_n25(self):
+        rng = random.Random(29)
+        for _ in range(40):
+            g = random_c4gem_free(
+                rng, rng.randint(15, 25), rng.uniform(0.15, 0.5), max_cliques_cap=20
+            )
+            assert icd_equivalent(build_icd(g), brute_force_icd(g))
+
+    def test_multi_round_closure_matches_oracle(self):
+        # On (C4, gem)-free input the closure needs one productive round: the
+        # laminar out-trees make every source set a seed or the meet of two.
+        # General graphs take more rounds; their closure must still be the
+        # oracle's family, and build_icd must reject them.
+        rng = random.Random(31)
+        multi = 0
+        for _ in range(300):
+            n = rng.randint(6, 10)
+            g = graph_from_mask(n, rng.getrandbits(n * (n - 1) // 2))
+            try:
+                oracle = brute_force_icd(g)
+            except BruteForceBudgetError:
+                continue
+            seeds = [_mask_of(oracle.src_sets[x]) for x in oracle.phi]
+            family = _close_sources(seeds, n)
+            assert family == {_mask_of(s) for s in oracle.src_sets}
+            one_round = set(seeds) | {a & b for a in seeds for b in seeds}
+            one_round.discard(0)
+            if family != one_round:
+                multi += 1
+                with pytest.raises(IcdStructureError):
+                    build_icd(g)
+            else:
+                try:
+                    fast = build_icd(g)
+                except IcdStructureError:
+                    continue
+                assert icd_equivalent(fast, oracle)
+        assert multi >= 20
+
     def test_node_bound(self):
         for icd in _sample_icds():
             n = len(icd.phi)
@@ -197,15 +256,35 @@ class TestStructuralChecks:
         # to satisfy the conclusion: each clique family is {edge, two ends}
         assert check_laminar_out_trees(brute_force_icd(cycle_graph(4))) == (True, None)
 
+    def test_laminar_rejects_arcs_that_skip_a_node(self):
+        # one maximal clique M = A + {2}, A = (0, 1) > B = (0,): the family
+        # is laminar and rooted at M, but M -> B skips A
+        def icd_with(arcs):
+            return InterCliqueDigraph(
+                cliques=((0, 1, 2), (0, 1), (0,)),
+                src_sets=((0,), (0,), (0,)),
+                arcs=arcs,
+                max_cliques=((0, 1, 2),),
+                phi=(2, 1, 0),
+                phi_inv=((2,), (1,), (0,)),
+                node_weights=(1.0, 1.0, 1.0),
+            )
+
+        assert check_laminar_out_trees(icd_with(((0, 1), (0, 2)))) == (
+            False,
+            (None, 0, 2),
+        )
+        assert check_laminar_out_trees(icd_with(((0, 1), (1, 2)))) == (True, None)
+
     def test_laminar_gem_fails(self):
         ok, witness = check_laminar_out_trees(brute_force_icd(fixture_graph("gem")))
         assert not ok and witness is not None
 
     def test_anc_in_trees_c5(self):
-        assert check_anc_in_trees(build_icd(cycle_graph(5))) == (True, None)
+        assert _anc_violation(build_icd(cycle_graph(5))) is None
 
     def test_anc_in_trees_single_node(self):
-        assert check_anc_in_trees(build_icd(complete_graph(3))) == (True, None)
+        assert _anc_violation(build_icd(complete_graph(3))) is None
 
     def test_anc_in_trees_diamond_dag_fails(self):
         # two parallel containment chains meeting at one node
@@ -218,11 +297,11 @@ class TestStructuralChecks:
             phi_inv=((), (1,), (2,), (0,)),
             node_weights=(0.0, 1.0, 1.0, 1.0),
         )
-        assert check_anc_in_trees(syn) == (False, 3)
+        assert _anc_violation(syn).node == 3
 
     def test_anc_in_trees_on_free_samples(self):
         for icd in _sample_icds(seed=19, count=25):
-            assert check_anc_in_trees(icd) == (True, None)
+            assert _anc_violation(icd) is None
             assert check_laminar_out_trees(icd) == (True, None)
 
 
@@ -336,7 +415,7 @@ class TestTwinExpandedCycles:
             assert _is_free(g)
             assert find_hole(g) is not None
             fast = build_icd(g)
-            assert check_anc_in_trees(fast) == (True, None)
+            assert _anc_violation(fast) is None
             assert check_laminar_out_trees(fast) == (True, None)
             # blocks become the twin classes: one lattice node per block and
             # per cycle edge, underlying graph a single 2k-cycle

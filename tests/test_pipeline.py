@@ -6,7 +6,7 @@ import random
 import pytest
 
 from generators import random_c4gem_free, random_graph
-from helpers_brute import downward_closed_sets, remainder_is_forest
+from helpers_brute import closure, downward_closed_sets, remainder_is_forest
 from ptodel import pipeline
 from ptodel.fixtures import cycle_graph, fixture_graph, path_graph
 from ptodel.fvsp import FvspInstance, InstanceViolation
@@ -20,7 +20,6 @@ from ptodel.lattice import build_icd, is_ptolemaic_via_icd
 from ptodel.oracle import exact_c4gem_hitting, exact_fvsp, exact_ptolemaic_deletion
 from ptodel.pipeline import (
     PipelineError,
-    closure,
     enumerate_obstructions,
     hit_c4_gem,
     lift,
