@@ -20,6 +20,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from heapq import heappop, heappush
 from typing import Iterable, Optional
 
 import numpy as np
@@ -42,6 +43,15 @@ class LpSolveError(RuntimeError):
 
 class StructureError(RuntimeError):
     """A structural invariant of the rounding pipeline was violated."""
+
+
+@dataclass(frozen=True)
+class InstanceViolation:
+    kind: str  # "cycle" | "ancestors-not-in-tree"
+    node: int
+
+    def __str__(self) -> str:
+        return f"{self.kind} at node {self.node}"
 
 
 @dataclass(frozen=True)
@@ -82,27 +92,25 @@ class FvspInstance:
         return tuple(tuple(sorted(vs)) for vs in out)
 
     @cached_property
-    def in_adj(self) -> tuple[tuple[int, ...], ...]:
-        out: list[list[int]] = [[] for _ in range(self.n)]
-        for u, v in self.arcs:
-            out[v].append(u)
-        return tuple(tuple(sorted(us)) for us in out)
-
-    @cached_property
-    def topo_order(self) -> Optional[tuple[int, ...]]:
-        """Topological order (smallest-id-first Kahn), or None if cyclic."""
-        indeg = [len(self.in_adj[v]) for v in range(self.n)]
-        ready = sorted((v for v in range(self.n) if indeg[v] == 0), reverse=True)
+    def _kahn_order(self) -> tuple[int, ...]:
+        """Smallest-id-first Kahn order; it misses every node on or below a cycle."""
+        indeg = Counter(v for _, v in self.arcs)
+        ready = [v for v in range(self.n) if not indeg[v]]  # sorted, so a heap
         order: list[int] = []
         while ready:
-            v = ready.pop()
+            v = heappop(ready)
             order.append(v)
             for w in self.out_adj[v]:
                 indeg[w] -= 1
                 if indeg[w] == 0:
-                    ready.append(w)
-            ready.sort(reverse=True)
-        return tuple(order) if len(order) == self.n else None
+                    heappush(ready, w)
+        return tuple(order)
+
+    @property
+    def topo_order(self) -> Optional[tuple[int, ...]]:
+        """Topological order (smallest-id-first Kahn), or None if cyclic."""
+        order = self._kahn_order
+        return order if len(order) == self.n else None
 
     @cached_property
     def des_masks(self) -> tuple[int, ...]:
@@ -118,60 +126,33 @@ class FvspInstance:
         return tuple(masks)
 
     @cached_property
-    def anc_masks(self) -> tuple[int, ...]:
-        order = self.topo_order
-        assert order is not None, "ancestor masks need an acyclic digraph"
-        masks = [0] * self.n
-        for v in order:
-            m = 1 << v
-            for u in self.in_adj[v]:
-                m |= masks[u]
-            masks[v] = m
-        return tuple(masks)
-
-    def descendants(self, v: int) -> frozenset[int]:
-        return frozenset(_bits_to_list(self.des_masks[v]))
+    def violation(self) -> Optional[InstanceViolation]:
+        """The verdict validate_instance returns, computed once."""
+        if self.topo_order is None:
+            unreached = set(range(self.n)).difference(self._kahn_order)
+            return InstanceViolation("cycle", min(unreached))
+        # the ancestors of v fail to be an in-tree exactly when some node has
+        # two children that both reach v
+        des, bad = self.des_masks, 0
+        for kids in self.out_adj:
+            below = 0
+            for c in kids:
+                bad |= below & des[c]
+                below |= des[c]
+        if bad:
+            return InstanceViolation("ancestors-not-in-tree", (bad & -bad).bit_length() - 1)
+        return None
 
     def weight_of(self, nodes: Iterable[int]) -> float:
         return float(sum(self.weights[v] for v in sorted(nodes)))
 
 
-@dataclass(frozen=True)
-class InstanceViolation:
-    kind: str  # "cycle" | "ancestors-not-in-tree"
-    node: int
-
-    def __str__(self) -> str:
-        return f"{self.kind} at node {self.node}"
-
-
 def validate_instance(inst: FvspInstance) -> Optional[InstanceViolation]:
     """None if the instance is a legal input (acyclic, every ancestor set an
-    in-tree); otherwise the first violation found."""
-    if inst.topo_order is None:
-        in_order: set[int] = set()
-        indeg = [len(inst.in_adj[v]) for v in range(inst.n)]
-        ready = [v for v in range(inst.n) if indeg[v] == 0]
-        while ready:
-            v = ready.pop()
-            in_order.add(v)
-            for w in inst.out_adj[v]:
-                indeg[w] -= 1
-                if indeg[w] == 0:
-                    ready.append(w)
-        witness = min(v for v in range(inst.n) if v not in in_order)
-        return InstanceViolation("cycle", witness)
-    child_masks = [0] * inst.n
-    for u, v in inst.arcs:
-        child_masks[u] |= 1 << v
-    for v in range(inst.n):
-        group = inst.anc_masks[v]
-        for u in _bits_to_list(group):
-            if u == v:
-                continue
-            if bin(child_masks[u] & group).count("1") != 1:
-                return InstanceViolation("ancestors-not-in-tree", v)
-    return None
+    in-tree); otherwise the violation at the smallest node that lies on or
+    below a cycle or, if there is none, whose ancestors are not an in-tree.
+    The verdict is cached on the instance, so a second call is a lookup."""
+    return inst.violation
 
 
 # ---------------------------------------------------------------------------
@@ -581,14 +562,6 @@ def solve_fvsp(
     violation = validate_instance(inst)
     if violation is not None:
         raise StructureError(f"invalid instance: {violation}")
-    if inst.n == 0:
-        return FvspSolution(
-            deleted=(),
-            weight=0.0,
-            theta=params.alpha,
-            stage_weights={"step1": 0.0, "step3": 0.0, "cleanup": 0.0},
-            lp_value=0.0,
-        )
     lp = solve_lp(build_lp(inst))
     rs = derandomize(inst, lp, params)
     deleted = tuple(sorted(rs.deleted))

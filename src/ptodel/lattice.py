@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, count
-from typing import Iterable, Optional
+from typing import Optional
 
 from .graphs import (
     CliqueGuardError,
@@ -117,9 +117,6 @@ class InterCliqueDigraph:
 
     def underlying_is_forest(self) -> bool:
         return not union_find(self.n_nodes, self.underlying_edges)[1]
-
-    def weight_of(self, nodes: Iterable[int]) -> float:
-        return float(sum(self.node_weights[x] for x in nodes))
 
 
 # ---------------------------------------------------------------------------

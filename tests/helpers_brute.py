@@ -2,9 +2,10 @@
 
 Everything here deliberately avoids the production code paths: recognizers
 work by exhaustive subset scans, chordality by greedy simplicial elimination,
-and the FVSP reference by literal enumeration of downward-closed sets.  The
-ICD section holds the analysis helpers the tests use to compare lattices and
-to state the lifting lemma (``icd_equivalent``, ``closure``).
+the FVSP reference by literal enumeration of downward-closed sets, and the
+instance check by explicit ancestor sets.  The ICD section holds the analysis
+helpers the tests use to compare lattices and to state the lifting lemma
+(``icd_equivalent``, ``closure``).
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from ptodel.fvsp import FvspInstance
+from ptodel.fvsp import FvspInstance, InstanceViolation
 from ptodel.graphs import VertexSet, WeightedGraph, vset
 from ptodel.lattice import InterCliqueDigraph
 
@@ -243,6 +244,34 @@ def downward_closed_sets(inst: FvspInstance, cap: int | None = None):
             yield from rec(i + 1, chosen | {v})
 
     yield from rec(0, frozenset())
+
+
+def validate_instance_brute(inst: FvspInstance) -> Optional[InstanceViolation]:
+    """Reference for ``validate_instance`` from ``inst.arcs`` alone.  Peel
+    every source until none is left; a cycle's witness is the smallest node
+    never peeled.  Otherwise build each node's ancestor set by relaxing arcs
+    n times, and v fails when one of its proper ancestors does not have
+    exactly one child among v and v's ancestors."""
+    n = inst.n
+    live = set(range(n))
+    while True:
+        fed = {v for u, v in inst.arcs if u in live}
+        sources = live - fed
+        if not sources:
+            break
+        live -= sources
+    if live:
+        return InstanceViolation("cycle", min(live))
+    anc = [{v} for v in range(n)]
+    for _ in range(n):
+        for u, v in inst.arcs:
+            anc[v] |= anc[u]
+    for v in range(n):
+        for u in sorted(anc[v] - {v}):
+            kids_inside = [c for a, c in inst.arcs if a == u and c in anc[v]]
+            if len(kids_inside) != 1:
+                return InstanceViolation("ancestors-not-in-tree", v)
+    return None
 
 
 def remainder_is_forest(inst: FvspInstance, deleted) -> bool:

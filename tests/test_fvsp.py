@@ -1,20 +1,27 @@
 """FVSP solver: LP model, rounding behavior, cleanup, and the structural
 claims the analysis rests on."""
 
+import itertools
 import math
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from generators import random_multitree
-from helpers_brute import exact_fvsp_by_ideals, remainder_is_forest
+from helpers_brute import (
+    exact_fvsp_by_ideals,
+    remainder_is_forest,
+    validate_instance_brute,
+)
 from ptodel.fixtures import cycle_graph
 from ptodel.fvsp import (
     DEFAULT_PARAMS,
     FvspFormatError,
     FvspInstance,
+    InstanceViolation,
     RoundingParams,
     StructureError,
     build_lp,
@@ -60,6 +67,54 @@ class TestValidate:
         cyc = FvspInstance(3, [(0, 1), (1, 2), (2, 0)], [1.0] * 3)
         violation = validate_instance(cyc)
         assert violation is not None and violation.kind == "cycle"
+        # the witness is the smallest node on or below a cycle: 0 -> 1 feeds
+        # the cycle 2 -> 3 -> 2, which feeds 4
+        fed = FvspInstance(5, [(0, 1), (1, 2), (2, 3), (3, 2), (3, 4)], [1.0] * 5)
+        assert validate_instance(fed) == InstanceViolation("cycle", 2)
+
+    @staticmethod
+    def _agree(inst):
+        got, want = validate_instance(inst), validate_instance_brute(inst)
+        assert got == want, (inst.n, inst.arcs, got, want)
+        return want
+
+    def test_matches_brute_on_every_small_digraph(self):
+        kinds = Counter()
+        for n in range(5):
+            pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+            for mask in range(1 << len(pairs)):
+                arcs = [pairs[i] for i in range(len(pairs)) if mask >> i & 1]
+                verdict = self._agree(FvspInstance(n, arcs, [1.0] * n))
+                kinds[verdict.kind if verdict else "valid"] += 1
+        assert sum(kinds.values()) == 1 + 1 + 4 + 64 + 4096
+        assert min(kinds.values()) > 0, kinds
+
+    def test_matches_brute_on_random_digraphs(self):
+        rng = random.Random(2718)
+        kinds = Counter()
+        for i in range(20000):
+            n = rng.randint(1, 9)
+            if i % 3 == 0:  # a valid instance, maybe spoiled by one arc
+                inst = random_multitree(rng, n, extra_arc_tries=3 * n)
+                arcs = list(inst.arcs)
+                if n > 1 and rng.random() < 0.6:
+                    arcs.append(tuple(rng.sample(range(n), 2)))
+            elif i % 3 == 1:  # a DAG on a shuffled order
+                order = rng.sample(range(n), n)
+                p = rng.choice((0.15, 0.3, 0.5))
+                arcs = [
+                    (order[a], order[b])
+                    for a, b in itertools.combinations(range(n), 2)
+                    if rng.random() < p
+                ]
+            else:  # any digraph
+                p = rng.choice((0.08, 0.15, 0.3))
+                arcs = [
+                    (u, v) for u in range(n) for v in range(n) if u != v and rng.random() < p
+                ]
+            verdict = self._agree(FvspInstance(n, arcs, [1.0] * n))
+            kinds[verdict.kind if verdict else "valid"] += 1
+        assert min(kinds.values()) >= 2000, kinds
 
 
 class TestLpModel:

@@ -7,7 +7,7 @@ import pytest
 
 from generators import random_c4gem_free, random_graph
 from helpers_brute import closure, downward_closed_sets, remainder_is_forest
-from ptodel import pipeline
+from ptodel import fvsp, pipeline
 from ptodel.fixtures import cycle_graph, fixture_graph, path_graph
 from ptodel.fvsp import FvspInstance, InstanceViolation
 from ptodel.graphs import (
@@ -137,6 +137,24 @@ class TestReduction:
         assert info.value.stage == "reduce"
         assert str(info.value) == "[reduce] ICD is not a valid instance: cycle at node 0"
 
+    def test_solve_checks_each_instance_once(self, monkeypatch):
+        # reduce_to_fvsp and solve_fvsp both ask; the second answer is cached
+        asked, computed = [], []
+        for module in (pipeline, fvsp):
+            real_validate = module.validate_instance
+            monkeypatch.setattr(
+                module,
+                "validate_instance",
+                lambda inst, f=real_validate: asked.append(inst) or f(inst),
+            )
+        prop = FvspInstance.__dict__["violation"]
+        real = prop.func
+        monkeypatch.setattr(prop, "func", lambda inst: computed.append(inst) or real(inst))
+        res = solve_ptolemaic_deletion(cycle_graph(5))
+        assert res.weight == 1.0
+        assert len(asked) == 2 and asked[0] is asked[1]
+        assert computed == asked[:1]
+
 
 class TestClosure:
     def test_no_rule_fires(self):
@@ -233,6 +251,20 @@ class TestEndToEnd:
             assert is_ptolemaic_via_icd(remainder)
             opt_w, _ = exact_ptolemaic_deletion(g)
             assert opt_w - 1e-9 <= res.weight <= 68 * opt_w + 1e-6
+
+    def test_lp_values_bound_the_whole_graph_optimum(self):
+        # the hitting LP relaxes the whole problem; the FVSP LP relaxes the
+        # remainder's, which is no dearer than the whole graph's
+        rng = random.Random(1)
+        fvsp_positive = 0
+        for _ in range(200):
+            g = random_graph(rng, rng.choice((13, 14)), 0.15, weights=(1.0, 10.0))
+            res = solve_ptolemaic_deletion(g)
+            opt_w, _ = exact_ptolemaic_deletion(g)
+            bound = max(res.hitting.lp_value, res.fvsp.lp_value)
+            assert bound <= opt_w * (1 + 1e-9) + 1e-9, (g.edges, bound, opt_w)
+            fvsp_positive += res.fvsp.lp_value > 0
+        assert fvsp_positive >= 10
 
     def test_weight_decomposition(self):
         rng = random.Random(33)
