@@ -13,7 +13,6 @@ A graph is ptolemaic exactly when it is chordal (hole-free) and gem-free.
 
 from __future__ import annotations
 
-import itertools
 import math
 from typing import Callable, Iterable, Optional, TypeVar
 
@@ -48,14 +47,18 @@ class WeightedGraph:
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
         self.n = n
-        seen: set[tuple[int, int]] = set()
+        # edge {u, v} with u < v as the key u*n + v, whose order is that of
+        # (u, v): a set of ints sorts several times faster than one of pairs
+        keys: set[int] = set()
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u},{v}) out of range for n={n}")
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
-            seen.add((min(u, v), max(u, v)))
-        self.edges: tuple[tuple[int, int], ...] = tuple(sorted(seen))
+            keys.add(u * n + v if u < v else v * n + u)
+        self.edges: tuple[tuple[int, int], ...] = tuple(
+            divmod(k, n) for k in sorted(keys)
+        )
         if weights is None:
             w = (1.0,) * n
         else:
@@ -209,19 +212,20 @@ def format_graph(g: WeightedGraph) -> str:
 
 
 def _c4_candidates(g: WeightedGraph):
-    # A C4 is a non-adjacent pair {b, d} plus a non-adjacent pair of their
-    # common neighbors; each square is seen from both diagonals.
+    # A C4 is anchored at its minimum vertex b: the opposite corner d is a
+    # non-neighbour above b at distance two, and b's two square neighbours
+    # are a non-adjacent pair a < c of common neighbours above b.  Each
+    # square is found once, in increasing (b, d, a, c) order.
     bits = g.adj_bits
     for b in range(g.n):
-        for d in _bits_to_list(_above(g.n, b) & ~bits[b]):
-            common = bits[b] & bits[d]
+        above = _above(g.n, b)
+        for d in _bits_to_list(_neighbours(bits, bits[b]) & above & ~bits[b]):
+            common = bits[b] & bits[d] & above
             if common.bit_count() < 2:
                 continue
-            members = _bits_to_list(common)
-            for i, a in enumerate(members):
-                for c in members[i + 1 :]:
-                    if not bits[a] >> c & 1:
-                        yield vset((a, b, c, d))
+            for a in _bits_to_list(common):
+                for c in _bits_to_list(common & ~bits[a] & _above(g.n, a)):
+                    yield tuple(sorted((a, b, c, d)))
 
 
 def find_induced_c4(g: WeightedGraph) -> Optional[VertexSet]:
@@ -232,37 +236,45 @@ def find_induced_c4(g: WeightedGraph) -> Optional[VertexSet]:
 
 
 def all_induced_c4(g: WeightedGraph) -> list[VertexSet]:
-    """Every vertex set inducing a C4, deduplicated and sorted."""
-    return sorted(set(_c4_candidates(g)))
+    """Every vertex set inducing a C4, sorted."""
+    return sorted(_c4_candidates(g))
 
 
-def _is_induced_p4(bits: tuple[int, ...], quad: tuple[int, ...]) -> bool:
-    # on four vertices, degrees 1, 1, 2, 2 leave only the path
-    q = _mask_of(quad)
-    return sorted((bits[x] & q).bit_count() for x in quad) == [1, 1, 2, 2]
-
-
-def _gem_candidates(g: WeightedGraph):
-    # The apex of a gem is its unique degree-4 vertex, so anchoring the scan
-    # at the apex enumerates each gem exactly once.
-    for apex in range(g.n):
-        nbrs = _bits_to_list(g.adj_bits[apex])
-        if len(nbrs) < 4:
-            continue
-        for quad in itertools.combinations(nbrs, 4):
-            if _is_induced_p4(g.adj_bits, quad):
-                yield vset(quad + (apex,))
+def _apex_p4s(bits: tuple[int, ...], apex: int):
+    """Every induced P4 a-b-c-d inside N(apex), once each, from its middle
+    edge b < c: the ends are a in N(b) outside N[c] and d in N(c) outside
+    N[b], with a and d non-adjacent."""
+    nbrs = bits[apex]
+    for b in _bits_to_list(nbrs):
+        inner = bits[b] & nbrs
+        for c in _bits_to_list(inner >> (b + 1) << (b + 1)):
+            ends_a = inner & ~(bits[c] | 1 << c)
+            ends_d = bits[c] & nbrs & ~(bits[b] | 1 << b)
+            if ends_a and ends_d:
+                for a in _bits_to_list(ends_a):
+                    for d in _bits_to_list(ends_d & ~bits[a]):
+                        yield a, b, c, d
 
 
 def find_induced_gem(g: WeightedGraph) -> Optional[VertexSet]:
-    """First induced gem as a sorted vertex set, or None."""
-    for quint in _gem_candidates(g):
-        return quint
+    """First induced gem as a sorted vertex set, or None: the smallest P4
+    (as a sorted quad) of the smallest apex that has one."""
+    for apex in range(g.n):
+        paths = _apex_p4s(g.adj_bits, apex)
+        quad = min((tuple(sorted(path)) for path in paths), default=None)
+        if quad is not None:
+            return vset(quad + (apex,))
     return None
 
 
 def all_induced_gems(g: WeightedGraph) -> list[VertexSet]:
-    return sorted(set(_gem_candidates(g)))
+    # The apex of a gem is its unique degree-4 vertex and the P4 has one
+    # middle edge, so each gem is found exactly once.
+    return sorted(
+        tuple(sorted(path + (apex,)))
+        for apex in range(g.n)
+        for path in _apex_p4s(g.adj_bits, apex)
+    )
 
 
 # ---------------------------------------------------------------------------

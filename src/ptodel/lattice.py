@@ -81,37 +81,6 @@ class InterCliqueDigraph:
         return tuple(tuple(sorted(cs)) for cs in out)
 
     @cached_property
-    def parents(self) -> tuple[tuple[int, ...], ...]:
-        out: list[list[int]] = [[] for _ in range(self.n_nodes)]
-        for p, c in self.arcs:
-            out[c].append(p)
-        return tuple(tuple(sorted(ps)) for ps in out)
-
-    def descendants(self, x: int, include_self: bool = True) -> frozenset[int]:
-        seen = {x}
-        stack = [x]
-        while stack:
-            for c in self.children[stack.pop()]:
-                if c not in seen:
-                    seen.add(c)
-                    stack.append(c)
-        if not include_self:
-            seen.discard(x)
-        return frozenset(seen)
-
-    def ancestors(self, x: int, include_self: bool = True) -> frozenset[int]:
-        seen = {x}
-        stack = [x]
-        while stack:
-            for p in self.parents[stack.pop()]:
-                if p not in seen:
-                    seen.add(p)
-                    stack.append(p)
-        if not include_self:
-            seen.discard(x)
-        return frozenset(seen)
-
-    @cached_property
     def underlying_edges(self) -> tuple[tuple[int, int], ...]:
         return tuple(sorted((min(p, c), max(p, c)) for p, c in self.arcs))
 
@@ -211,6 +180,15 @@ def _close_sources(seeds: list[int], n: int) -> set[int]:
             )
 
 
+def _guarded_cliques(g: WeightedGraph) -> list[VertexSet]:
+    """Maximal cliques under the C4-free guard; tripping it raises
+    IcdStructureError."""
+    try:
+        return maximal_cliques(g, c4_free=True)
+    except CliqueGuardError as exc:
+        raise IcdStructureError(str(exc)) from exc
+
+
 def build_icd(g: WeightedGraph) -> InterCliqueDigraph:
     """Polynomial-time ICD construction for (C4, gem)-free graphs.
 
@@ -218,15 +196,17 @@ def build_icd(g: WeightedGraph) -> InterCliqueDigraph:
     pairwise intersection semi-naively, materializes each source set as the
     intersection of its maximal cliques, and reads the arcs off one sweep of
     each maximal clique's laminar family; ``phi`` reads each vertex's mask.
-    Structural guards (node count above 2n^3, fixpoint not reached within n
-    rounds, equal cliques, a family that is not a laminar out-tree) raise
-    IcdStructureError; they indicate the precondition failed.
+    Structural guards (more than n^2 maximal cliques, node count above 2n^3,
+    fixpoint not reached within n rounds, equal cliques, a family that is
+    not a laminar out-tree) raise IcdStructureError; they indicate the
+    precondition failed.
     """
+    return _icd_from_cliques(g, _guarded_cliques(g))
+
+
+def _icd_from_cliques(g: WeightedGraph, mc: list[VertexSet]) -> InterCliqueDigraph:
+    """``build_icd`` given the graph's maximal cliques."""
     n = g.n
-    try:
-        mc = maximal_cliques(g, c4_free=True)
-    except CliqueGuardError as exc:
-        raise IcdStructureError(str(exc)) from exc
     mc_masks = [_mask_of(c) for c in mc]
     vertex_src = [0] * n
     for i, c in enumerate(mc):
@@ -366,11 +346,13 @@ def check_laminar_out_trees(
 
 def is_ptolemaic_via_icd(g: WeightedGraph, max_clique_budget: int = 20) -> bool:
     """Ptolemaic test through the clique lattice: the underlying graph of the
-    ICD must be a forest."""
-    if len(maximal_cliques(g)) <= max_clique_budget:
+    ICD must be a forest.  Up to ``max_clique_budget`` maximal cliques the
+    brute-force oracle builds it, above that ``build_icd``."""
+    mc = _guarded_cliques(g)
+    if len(mc) <= max_clique_budget:
         icd = brute_force_icd(g, max_clique_budget)
     else:
-        icd = build_icd(g)
+        icd = _icd_from_cliques(g, mc)
     return icd.underlying_is_forest()
 
 

@@ -39,7 +39,7 @@ def random_graph(
 @lru_cache(maxsize=None)
 def large_clique(k: int) -> WeightedGraph:
     """``complete_graph(k)``, built once per test process: K1100 has 604,450
-    edges and takes seconds to build, and two test modules use it."""
+    edges and takes about a second to build, and two test modules use it."""
     return complete_graph(k)
 
 

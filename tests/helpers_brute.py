@@ -2,10 +2,11 @@
 
 Everything here deliberately avoids the production code paths: recognizers
 work by exhaustive subset scans, chordality by greedy simplicial elimination,
-the FVSP reference by literal enumeration of downward-closed sets, and the
-instance check by explicit ancestor sets.  The ICD section holds the analysis
-helpers the tests use to compare lattices and to state the lifting lemma
-(``icd_equivalent``, ``closure``).
+the FVSP reference by literal enumeration of downward-closed sets, the
+instance check by explicit ancestor sets, and the C4 and gem references by
+plain pair and subset scans.  The ICD section holds the analysis helpers the
+tests use to compare lattices, walk them and state the lifting lemma
+(``icd_equivalent``, ``descendants``, ``ancestors``, ``closure``).
 """
 
 from __future__ import annotations
@@ -164,6 +165,31 @@ def has_gem_brute(g: WeightedGraph) -> bool:
         if degs == [2, 2, 3, 3, 4]:
             return True
     return False
+
+
+# Reference C4 and gem scans: every non-adjacent pair b < d as a diagonal,
+# and every 4-subset of N(apex).  They yield each square twice (once per
+# diagonal) and each gem once; their first hit is the witness
+# ``find_induced_c4`` and ``find_induced_gem`` must return.
+
+
+def c4_scan_brute(g: WeightedGraph):
+    for b, d in itertools.combinations(range(g.n), 2):
+        if g.has_edge(b, d):
+            continue
+        common = _bits_to_list(g.adj_bits[b] & g.adj_bits[d])
+        for a, c in itertools.combinations(common, 2):
+            if not g.has_edge(a, c):
+                yield vset((a, b, c, d))
+
+
+def gem_scan_brute(g: WeightedGraph):
+    for apex in range(g.n):
+        for quad in itertools.combinations(_bits_to_list(g.adj_bits[apex]), 4):
+            q = sum(1 << x for x in quad)
+            degs = sorted((g.adj_bits[x] & q).bit_count() for x in quad)
+            if degs == [1, 1, 2, 2]:  # on four vertices, only the path
+                yield vset(quad + (apex,))
 
 
 def is_ptolemaic_brute(g: WeightedGraph) -> bool:
@@ -342,6 +368,38 @@ def icd_equivalent(a: InterCliqueDigraph, b: InterCliqueDigraph) -> bool:
     return wts_a == wts_b
 
 
+def parents(icd: InterCliqueDigraph) -> tuple[tuple[int, ...], ...]:
+    out: list[list[int]] = [[] for _ in range(icd.n_nodes)]
+    for p, c in icd.arcs:
+        out[c].append(p)
+    return tuple(tuple(sorted(ps)) for ps in out)
+
+
+def _reach(adj, x: int, include_self: bool) -> frozenset[int]:
+    seen = {x}
+    stack = [x]
+    while stack:
+        for y in adj[stack.pop()]:
+            if y not in seen:
+                seen.add(y)
+                stack.append(y)
+    if not include_self:
+        seen.discard(x)
+    return frozenset(seen)
+
+
+def descendants(
+    icd: InterCliqueDigraph, x: int, include_self: bool = True
+) -> frozenset[int]:
+    return _reach(icd.children, x, include_self)
+
+
+def ancestors(
+    icd: InterCliqueDigraph, x: int, include_self: bool = True
+) -> frozenset[int]:
+    return _reach(parents(icd), x, include_self)
+
+
 def closure(icd: InterCliqueDigraph, seeds: Iterable[int]) -> frozenset[int]:
     """Least superset of ``seeds`` absorbing (a) every zero-weight descendant
     of a member and (b) every node with empty preimage whose immediate
@@ -351,7 +409,7 @@ def closure(icd: InterCliqueDigraph, seeds: Iterable[int]) -> frozenset[int]:
     while changed:
         changed = False
         for x in list(closed):
-            for d in icd.descendants(x, include_self=False):
+            for d in descendants(icd, x, include_self=False):
                 if d not in closed and icd.node_weights[d] == 0.0:
                     closed.add(d)
                     changed = True

@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 from generators import large_clique, random_graph
 from helpers_brute import (
     all_graph_masks,
+    c4_scan_brute,
+    gem_scan_brute,
     graph_from_mask,
     has_gem_brute,
     has_hole_brute,
@@ -25,6 +27,7 @@ from ptodel.graphs import (
     GraphFormatError,
     WeightedGraph,
     all_induced_c4,
+    all_induced_gems,
     find_hole,
     find_induced_c4,
     find_induced_gem,
@@ -63,6 +66,37 @@ class TestGemDetection:
 
     def test_dart_has_no_gem(self):
         assert find_induced_gem(fixture_graph("dart")) is None
+
+
+class TestScansMatchReference:
+    """The scans from each square's minimum vertex and each P4's middle edge
+    against the plain pair and subset scans: the same obstruction lists, and
+    the same first witness (``check`` and ``icd`` print it)."""
+
+    @staticmethod
+    def _same(g):
+        squares = list(c4_scan_brute(g))
+        gems = list(gem_scan_brute(g))
+        assert all_induced_c4(g) == sorted(set(squares)), g.edges
+        assert all_induced_gems(g) == sorted(set(gems)), g.edges
+        assert find_induced_c4(g) == next(iter(squares), None), g.edges
+        assert find_induced_gem(g) == next(iter(gems), None), g.edges
+
+    def test_every_labelled_graph_up_to_six_vertices(self):
+        for n in range(7):
+            for mask in all_graph_masks(n):
+                self._same(graph_from_mask(n, mask))
+
+    def test_random_graphs_up_to_thirteen_vertices(self):
+        rng = random.Random(8)
+        found = [0, 0]
+        for _ in range(20000):
+            n = rng.randint(4, 13)
+            g = random_graph(rng, n, rng.choice((0.2, 0.35, 0.5, 0.65, 0.8)))
+            self._same(g)
+            found[0] += find_induced_c4(g) is not None
+            found[1] += find_induced_gem(g) is not None
+        assert min(found) >= 2000, found
 
 
 class TestHoles:

@@ -6,15 +6,19 @@ import pytest
 
 from helpers_brute import (
     all_graph_masks,
+    ancestors,
+    descendants,
     graph_from_mask,
     icd_cycles,
     icd_equivalent,
     segment_length,
 )
 from generators import large_clique, random_c4gem_free
+from ptodel import lattice
 from ptodel.fixtures import complete_graph, cycle_graph, fixture_graph, path_graph
 from ptodel.fvsp import FvspInstance, validate_instance
 from ptodel.graphs import (
+    WeightedGraph,
     _mask_of,
     find_hole,
     find_induced_c4,
@@ -327,11 +331,11 @@ class TestLatticeLemmas:
         for icd in pool:
             for a in range(icd.n_nodes):
                 for b in range(a + 1, icd.n_nodes):
-                    common = icd.descendants(a) & icd.descendants(b)
+                    common = descendants(icd, a) & descendants(icd, b)
                     greatest = [
                         x
                         for x in common
-                        if not (icd.ancestors(x, include_self=False) & common)
+                        if not (ancestors(icd, x, include_self=False) & common)
                     ]
                     assert len(greatest) <= 1
 
@@ -430,6 +434,30 @@ class TestPtolemaicViaIcd:
         assert is_ptolemaic_via_icd(fixture_graph("diamond"))
         assert not is_ptolemaic_via_icd(cycle_graph(5))
         assert is_ptolemaic_via_icd(path_graph(4))
+
+    def test_enumerates_the_cliques_once(self, monkeypatch):
+        # above the oracle's budget, the guarded list goes straight to the
+        # ICD construction
+        calls = []
+        real = lattice.maximal_cliques
+        monkeypatch.setattr(
+            lattice, "maximal_cliques", lambda g, **kw: calls.append(kw) or real(g, **kw)
+        )
+        assert is_ptolemaic_via_icd(path_graph(30))  # 29 maximal cliques
+        assert not is_ptolemaic_via_icd(cycle_graph(30))  # 30, and a hole
+        assert calls == [{"c4_free": True}] * 2
+
+    def test_clique_guard_raises_as_in_build_icd(self):
+        # a perfect matching's complement on 20 vertices: 2^10 > 20^2 cliques
+        g = WeightedGraph(
+            20, [(u, v) for u in range(20) for v in range(u + 1, 20) if v != u ^ 1]
+        )
+        with pytest.raises(IcdStructureError) as via:
+            is_ptolemaic_via_icd(g)
+        with pytest.raises(IcdStructureError) as direct:
+            build_icd(g)
+        assert str(via.value) == str(direct.value)
+        assert str(via.value).startswith("more than 400 maximal cliques on 20")
 
     def test_agrees_with_obstruction_scan(self):
         rng = random.Random(27)

@@ -2,13 +2,14 @@
 the correspondence between graph-side and lattice-side solutions."""
 
 import random
+import time
 
 import pytest
 
 from generators import random_c4gem_free, random_graph
 from helpers_brute import closure, downward_closed_sets, remainder_is_forest
 from ptodel import fvsp, pipeline
-from ptodel.fixtures import cycle_graph, fixture_graph, path_graph
+from ptodel.fixtures import complete_graph, cycle_graph, fixture_graph, path_graph
 from ptodel.fvsp import FvspInstance, InstanceViolation
 from ptodel.graphs import (
     WeightedGraph,
@@ -216,6 +217,14 @@ class TestEndToEnd:
     def test_ptolemaic_input_untouched(self):
         res = solve_ptolemaic_deletion(path_graph(4))
         assert res.deleted == () and res.weight == 0.0
+
+    def test_large_clique_in_seconds(self):
+        # K60 is ptolemaic; the scans cost O(n·Δ²) mask operations on it,
+        # where trying every 4-subset of each neighbourhood takes minutes
+        start = time.perf_counter()
+        res = solve_ptolemaic_deletion(complete_graph(60))
+        assert res.deleted == ()
+        assert time.perf_counter() - start < 10
 
     def test_degenerate_inputs(self):
         for g in (WeightedGraph(0, []), WeightedGraph(1, []), WeightedGraph(2, [(0, 1)])):
