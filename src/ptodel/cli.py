@@ -16,7 +16,6 @@ from typing import Optional
 from . import fixtures
 from .fvsp import (
     DEFAULT_PARAMS,
-    FvspFormatError,
     LpSolveError,
     RoundingParams,
     StructureError,
@@ -27,7 +26,6 @@ from .fvsp import (
     verify_fvsp_solution,
 )
 from .graphs import (
-    GraphFormatError,
     find_induced_c4,
     find_induced_gem,
     first_record_tag,
@@ -36,7 +34,7 @@ from .graphs import (
     parse_graph,
 )
 from .lattice import (
-    BruteForceBudgetError,
+    ORACLE_CLIQUE_BUDGET,
     IcdStructureError,
     brute_force_icd,
     build_icd,
@@ -44,7 +42,6 @@ from .lattice import (
     icd_to_dot,
 )
 from .oracle import (
-    BudgetExceededError,
     OracleBudget,
     exact_c4gem_hitting,
     exact_fvsp,
@@ -92,10 +89,9 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 
 def cmd_icd(args: argparse.Namespace) -> int:
-    _parse_params(args.params)  # rejected like solve's, though unused here
     g = parse_graph(_read(args.input))
     if args.oracle:
-        icd = brute_force_icd(g, args.budget if args.budget else 20)
+        icd = brute_force_icd(g, args.budget)
     else:
         witness = find_induced_c4(g) or find_induced_gem(g)
         if witness is not None:
@@ -131,13 +127,15 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     kind = args.kind
     if kind == "fvsp":
         inst = parse_instance(_read(args.input))
-        budget = OracleBudget(max_fvsp_nodes=args.budget) if args.budget else OracleBudget()
+        budget = (
+            OracleBudget() if args.budget is None else OracleBudget(max_fvsp_nodes=args.budget)
+        )
         weight, nodes = exact_fvsp(inst, budget)
         _emit({"kind": kind, "weight": weight, "deleted": list(nodes)})
         return EXIT_OK
     g = parse_graph(_read(args.input))
     budget = (
-        OracleBudget(max_graph_vertices=args.budget) if args.budget else OracleBudget()
+        OracleBudget() if args.budget is None else OracleBudget(max_graph_vertices=args.budget)
     )
     solver = exact_ptolemaic_deletion if kind == "pd" else exact_c4gem_hitting
     weight, vertices = solver(g, budget)
@@ -210,37 +208,35 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, with_params=True):
-        if with_params:
-            p.add_argument("--params", help="eps,alpha,beta override", default=None)
-        p.add_argument("--budget", type=int, default=None)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument(
-            "--format", choices=["json", "text", "dot"], default="json", dest="fmt"
-        )
-
     p = sub.add_parser("solve", help="run the full deletion pipeline")
     p.add_argument("input")
-    common(p)
+    p.add_argument("--params", help="eps,alpha,beta override")
+    p.add_argument("--format", choices=["json", "text"], default="json", dest="fmt")
 
     p = sub.add_parser("icd", help="dump the inter-clique digraph")
     p.add_argument("input")
     p.add_argument("--oracle", action="store_true", help="use the brute-force construction")
-    common(p)
+    p.add_argument(
+        "--budget",
+        type=int,
+        default=ORACLE_CLIQUE_BUDGET,
+        help="cap on maximal cliques for --oracle",
+    )
+    p.add_argument("--format", choices=["text", "dot"], default="text", dest="fmt")
 
     p = sub.add_parser("fvsp", help="solve a feedback-vertex instance")
     p.add_argument("input")
-    common(p)
+    p.add_argument("--params", help="eps,alpha,beta override")
+    p.add_argument("--format", choices=["json", "text"], default="json", dest="fmt")
 
     p = sub.add_parser("oracle", help="exact reference solvers")
     p.add_argument("kind", choices=["pd", "fvsp", "hit"])
     p.add_argument("input")
-    common(p, with_params=False)
+    p.add_argument("--budget", type=int, help="size cap on the input")
 
     p = sub.add_parser("check", help="verify a solution file against an instance")
     p.add_argument("input")
     p.add_argument("--solution", required=True)
-    common(p, with_params=False)
 
     p = sub.add_parser("gen", help="emit fixture or random graphs")
     group = p.add_mutually_exclusive_group(required=True)
@@ -250,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--weights", default=None, help="lo,hi for uniform random weights"
     )
-    common(p, with_params=False)
+    p.add_argument("--seed", type=int, default=0)
     return ap
 
 
@@ -268,15 +264,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _HANDLERS[args.command](args)
-    except (
-        GraphFormatError,
-        FvspFormatError,
-        BruteForceBudgetError,
-        BudgetExceededError,
-        FileNotFoundError,
-        ValueError,
-        json.JSONDecodeError,
-    ) as exc:
+    except (FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (IcdStructureError, PipelineError, StructureError, LpSolveError) as exc:

@@ -415,18 +415,14 @@ def is_ptolemaic(g: WeightedGraph) -> tuple[bool, Optional[VertexSet]]:
 # maximal cliques
 
 
-def maximal_cliques(
-    g: WeightedGraph, *, c4_free: bool = False, guard: Optional[int] = None
-) -> list[VertexSet]:
+def maximal_cliques(g: WeightedGraph, *, c4_free: bool = False) -> list[VertexSet]:
     """All inclusion-maximal cliques, canonically sorted.
 
     When the caller declares the graph C4-free, the count is guarded by the
     n^2 bound; exceeding the guard raises CliqueGuardError (the declaration
     was wrong).
     """
-    limit = guard
-    if limit is None and c4_free:
-        limit = g.n * g.n + 1
+    limit = g.n * g.n + 1 if c4_free else None
     out: list[int] = []
     bits = g.adj_bits
     # Bron-Kerbosch frames (r, p, x, candidates not yet branched on); an

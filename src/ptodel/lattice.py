@@ -37,6 +37,9 @@ from .graphs import (
 
 
 _SUBSET_DP_LIMIT = 13  # above this many maximal cliques, enumerate by closure
+# the most maximal cliques brute_force_icd accepts by default; up to this many,
+# is_ptolemaic_via_icd checks the graph through that oracle
+ORACLE_CLIQUE_BUDGET = 20
 
 
 class IcdStructureError(RuntimeError):
@@ -239,7 +242,9 @@ def _icd_from_cliques(g: WeightedGraph, mc: list[VertexSet]) -> InterCliqueDigra
     return _assemble(g, mc, node_pairs, list(arcs), phi)
 
 
-def brute_force_icd(g: WeightedGraph, max_clique_budget: int = 20) -> InterCliqueDigraph:
+def brute_force_icd(
+    g: WeightedGraph, max_clique_budget: int = ORACLE_CLIQUE_BUDGET
+) -> InterCliqueDigraph:
     """Oracle ICD construction by direct enumeration.
 
     Collects the distinct nonempty intersections over all subsets of the
@@ -344,13 +349,13 @@ def check_laminar_out_trees(
     return witness is None, witness
 
 
-def is_ptolemaic_via_icd(g: WeightedGraph, max_clique_budget: int = 20) -> bool:
+def is_ptolemaic_via_icd(g: WeightedGraph) -> bool:
     """Ptolemaic test through the clique lattice: the underlying graph of the
-    ICD must be a forest.  Up to ``max_clique_budget`` maximal cliques the
+    ICD must be a forest.  Up to ``ORACLE_CLIQUE_BUDGET`` maximal cliques the
     brute-force oracle builds it, above that ``build_icd``."""
     mc = _guarded_cliques(g)
-    if len(mc) <= max_clique_budget:
-        icd = brute_force_icd(g, max_clique_budget)
+    if len(mc) <= ORACLE_CLIQUE_BUDGET:
+        icd = brute_force_icd(g)
     else:
         icd = _icd_from_cliques(g, mc)
     return icd.underlying_is_forest()

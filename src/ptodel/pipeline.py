@@ -61,7 +61,9 @@ class HittingResult:
 
 def enumerate_obstructions(g: WeightedGraph) -> list[VertexSet]:
     """All vertex sets inducing a C4 or a gem, one constraint each."""
-    return sorted(set(all_induced_c4(g)) | set(all_induced_gems(g)))
+    # both lists are sorted and duplicate-free, and a C4 is never a gem, so
+    # sorting the two runs is a merge
+    return sorted(all_induced_c4(g) + all_induced_gems(g))
 
 
 def hit_c4_gem(g: WeightedGraph) -> HittingResult:

@@ -1,12 +1,13 @@
 """Command-line behavior: formats, exit codes, determinism."""
 
+import argparse
 import json
 import random
 
 import pytest
 
 from generators import random_graph
-from ptodel.cli import main
+from ptodel.cli import build_parser, main
 from ptodel.fixtures import cycle_graph, fixture_graph, path_graph
 from ptodel.graphs import format_graph, parse_graph
 from ptodel.fvsp import FvspInstance, format_instance
@@ -114,6 +115,17 @@ class TestIcd:
         code, out, _ = run(capsys, "icd", path, "--format", "dot")
         assert code == 0 and out.startswith("digraph")
 
+    def test_default_format_is_text(self, tmp_path, capsys):
+        path = write(tmp_path, "d.gr", format_graph(fixture_graph("diamond")))
+        assert run(capsys, "icd", path) == run(capsys, "icd", path, "--format", "text")
+
+    @pytest.mark.parametrize("budget", ["1", "0"])
+    def test_oracle_budget_exit_2(self, tmp_path, capsys, budget):
+        path = write(tmp_path, "c5.gr", format_graph(cycle_graph(5)))
+        code, out, err = run(capsys, "icd", path, "--oracle", "--budget", budget)
+        assert (code, out) == (2, "")
+        assert err == f"error: 5 maximal cliques exceeds the oracle budget {budget}\n"
+
 
 class TestFvsp:
     def test_forest(self, tmp_path, capsys):
@@ -128,6 +140,11 @@ class TestFvsp:
         res = json.loads(out)
         assert code == 0 and res["weight"] == 1.0
         assert set(res["stages"]) == {"step1", "step3", "cleanup"}
+
+    def test_malformed_exits_2(self, tmp_path, capsys):
+        path = write(tmp_path, "bad.fv", "d x\n")
+        code, out, err = run(capsys, "fvsp", path)
+        assert (code, out) == (2, "") and err.startswith("error: line 1: 'd x'")
 
     def test_invalid_dag_exit_3(self, tmp_path, capsys):
         inst = FvspInstance(4, [(0, 1), (0, 2), (1, 3), (2, 3)], [1.0] * 4)
@@ -156,6 +173,11 @@ class TestOracleCommands:
         path = write(tmp_path, "c5.gr", format_graph(cycle_graph(5)))
         code, _, _ = run(capsys, "oracle", "pd", path, "--budget", "3")
         assert code == 2
+
+    def test_zero_budget_exit_2(self, tmp_path, capsys):
+        path = write(tmp_path, "c5.gr", format_graph(cycle_graph(5)))
+        code, out, err = run(capsys, "oracle", "pd", path, "--budget", "0")
+        assert (code, out, err) == (2, "", "error: budget bounds must be positive\n")
 
 
 class TestCheck:
@@ -218,6 +240,12 @@ class TestCheck:
         assert (code, err) == (0, "")
         assert json.loads(out) == {"feasible": True, "reason": None, "weight": 0.0}
 
+    def test_solution_not_json_exits_2(self, tmp_path, capsys):
+        gpath = write(tmp_path, "c5.gr", format_graph(cycle_graph(5)))
+        spath = write(tmp_path, "sol.json", "deleted: 0\n")
+        code, out, err = run(capsys, "check", gpath, "--solution", spath)
+        assert (code, out) == (2, "") and err.startswith("error: Expecting value")
+
     def test_long_hole_witness(self, tmp_path, capsys):
         gpath = write(tmp_path, "c2000.gr", format_graph(cycle_graph(2000)))
         spath = write(tmp_path, "sol.json", json.dumps({"deleted": []}))
@@ -261,6 +289,69 @@ class TestGen:
         )
         g = parse_graph(out)
         assert code == 0 and any(w != 1.0 for w in g.weights)
+
+
+class TestOptions:
+    # each subcommand takes exactly the flags its handler reads
+    OPTIONS = {
+        "solve": ["--format", "--params"],
+        "icd": ["--budget", "--format", "--oracle"],
+        "fvsp": ["--format", "--params"],
+        "oracle": ["--budget"],
+        "check": ["--solution"],
+        "gen": ["--fixture", "--p", "--random", "--seed", "--weights"],
+    }
+    FORMATS = {"solve": ["json", "text"], "icd": ["text", "dot"], "fvsp": ["json", "text"]}
+    # a valid call of each subcommand, up to its options; argparse rejects
+    # the extra flag before any file is read
+    CALLS = {
+        "solve": ["solve", "g.gr"],
+        "icd": ["icd", "g.gr"],
+        "fvsp": ["fvsp", "i.fv"],
+        "oracle": ["oracle", "pd", "g.gr"],
+        "check": ["check", "g.gr", "--solution", "s.json"],
+        "gen": ["gen", "--fixture", "gem"],
+    }
+
+    def test_option_strings(self):
+        (subparsers,) = [
+            a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+        ]
+        options, formats = {}, {}
+        for name, p in subparsers.choices.items():
+            options[name] = sorted(
+                s for a in p._actions for s in a.option_strings if s not in ("-h", "--help")
+            )
+            formats.update({name: a.choices for a in p._actions if a.dest == "fmt"})
+        assert options == self.OPTIONS and formats == self.FORMATS
+        assert sum(map(len, options.values())) == 14
+
+    @pytest.mark.parametrize(
+        "command, extra, named",
+        [
+            ("solve", ["--budget", "3"], "--budget"),
+            ("solve", ["--seed", "1"], "--seed"),
+            ("solve", ["--format", "dot"], "invalid choice: 'dot'"),
+            ("icd", ["--params", "0.02,0.52,0.6"], "--params"),
+            ("icd", ["--seed", "1"], "--seed"),
+            ("icd", ["--format", "json"], "invalid choice: 'json'"),
+            ("fvsp", ["--budget", "3"], "--budget"),
+            ("fvsp", ["--seed", "1"], "--seed"),
+            ("fvsp", ["--format", "dot"], "invalid choice: 'dot'"),
+            ("oracle", ["--seed", "1"], "--seed"),
+            ("oracle", ["--format", "json"], "--format"),
+            ("check", ["--budget", "3"], "--budget"),
+            ("check", ["--seed", "1"], "--seed"),
+            ("check", ["--format", "json"], "--format"),
+            ("gen", ["--budget", "3"], "--budget"),
+            ("gen", ["--format", "json"], "--format"),
+        ],
+    )
+    def test_removed_option_exits_2(self, capsys, command, extra, named):
+        with pytest.raises(SystemExit) as exc:
+            main(self.CALLS[command] + extra)
+        assert exc.value.code == 2
+        assert named in capsys.readouterr().err
 
 
 class TestSubprocess:

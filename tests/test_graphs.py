@@ -174,11 +174,17 @@ class TestMaximalCliques:
         assert maximal_cliques(complete_graph(4)) == [(0, 1, 2, 3)]
 
     def test_guard_fires(self):
+        # the complete 5-partite graph K(3,3,3,3,3) has 3^5 = 243 maximal
+        # cliques on 15 vertices, over the n^2 = 225 a C4-free graph allows
+        g = WeightedGraph(
+            15, [(u, v) for u in range(15) for v in range(u + 1, 15) if u // 3 != v // 3]
+        )
+        assert len(maximal_cliques(g)) == 243
         with pytest.raises(
             CliqueGuardError,
-            match=r"^more than 1 maximal cliques on 4 vertices; input is not C4-free$",
+            match=r"^more than 225 maximal cliques on 15 vertices; input is not C4-free$",
         ):
-            maximal_cliques(fixture_graph("diamond"), guard=2)
+            maximal_cliques(g, c4_free=True)
 
     def test_large_clique_without_recursion(self):
         # the search goes one level deeper per clique vertex, past Python's
