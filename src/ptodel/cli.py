@@ -125,20 +125,18 @@ def cmd_fvsp(args: argparse.Namespace) -> int:
 
 def cmd_oracle(args: argparse.Namespace) -> int:
     kind = args.kind
+    if args.budget is None:
+        budget = OracleBudget()
+    elif kind == "fvsp":
+        budget = OracleBudget(max_fvsp_nodes=args.budget)
+    else:
+        budget = OracleBudget(max_graph_vertices=args.budget)
     if kind == "fvsp":
-        inst = parse_instance(_read(args.input))
-        budget = (
-            OracleBudget() if args.budget is None else OracleBudget(max_fvsp_nodes=args.budget)
-        )
-        weight, nodes = exact_fvsp(inst, budget)
+        weight, nodes = exact_fvsp(parse_instance(_read(args.input)), budget)
         _emit({"kind": kind, "weight": weight, "deleted": list(nodes)})
         return EXIT_OK
-    g = parse_graph(_read(args.input))
-    budget = (
-        OracleBudget() if args.budget is None else OracleBudget(max_graph_vertices=args.budget)
-    )
     solver = exact_ptolemaic_deletion if kind == "pd" else exact_c4gem_hitting
-    weight, vertices = solver(g, budget)
+    weight, vertices = solver(parse_graph(_read(args.input)), budget)
     _emit({"kind": kind, "weight": weight, "deleted": list(vertices)})
     return EXIT_OK
 

@@ -249,22 +249,25 @@ def build_lp(inst: FvspInstance) -> LpModel:
     nv = n + 2 * m
     c = np.zeros(nv)
     c[:n] = inst.weights
+    arcs = np.array(inst.arcs, dtype=np.intp).reshape(m, 2)
+    tails, heads = arcs[:, 0], arcs[:, 1]
+    j = np.arange(m)
+    x_tail, x_head = n + 2 * j, n + 2 * j + 1
     a_eq = np.zeros((m, nv))
     b_eq = np.ones(m)
+    a_eq[j, heads] = 1.0
+    a_eq[j, x_tail] = 1.0
+    a_eq[j, x_head] = 1.0
     a_ub = np.zeros((n + m, nv))
     b_ub = np.ones(n + m)
-    for j, (u, v) in enumerate(inst.arcs):
-        a_eq[j, v] = 1.0
-        a_eq[j, n + 2 * j] = 1.0
-        a_eq[j, n + 2 * j + 1] = 1.0
-        a_ub[u, n + 2 * j] += 1.0
-        a_ub[v, n + 2 * j + 1] += 1.0
-        # precedence row: z_u - z_v <= 0
-        a_ub[n + j, u] = 1.0
-        a_ub[n + j, v] = -1.0
-        b_ub[n + j] = 0.0
-    for v in range(n):
-        a_ub[v, v] = 1.0
+    # every x column belongs to one arc, so no cell below is written twice
+    a_ub[tails, x_tail] = 1.0
+    a_ub[heads, x_head] = 1.0
+    # precedence rows: z_u - z_v <= 0
+    a_ub[n + j, tails] = 1.0
+    a_ub[n + j, heads] = -1.0
+    b_ub[n:] = 0.0
+    a_ub[np.arange(n), np.arange(n)] = 1.0
     return LpModel(inst=inst, c=c, a_eq=a_eq, b_eq=b_eq, a_ub=a_ub, b_ub=b_ub)
 
 

@@ -250,8 +250,10 @@ def brute_force_icd(
     Collects the distinct nonempty intersections over all subsets of the
     maximal cliques and takes the cover relation of set containment.  No
     structural assumption on the input; refuses inputs with more maximal
-    cliques than the budget.
+    cliques than the budget, which must be positive.
     """
+    if max_clique_budget < 1:
+        raise ValueError("budget must be positive")
     n = g.n
     mc = maximal_cliques(g)
     k = len(mc)

@@ -66,33 +66,50 @@ def enumerate_obstructions(g: WeightedGraph) -> list[VertexSet]:
     return sorted(all_induced_c4(g) + all_induced_gems(g))
 
 
-def hit_c4_gem(g: WeightedGraph) -> HittingResult:
-    """LP-rounded hitting set making the graph (C4, gem)-free.
-
-    Solves min sum w_v x_v subject to sum_{v in A} x_v >= 1 over every
-    induced C4/gem A, keeps X = {v : x_v >= 0.2}.  A post-check rescans the
-    remainder and greedily patches any obstruction that survived LP round-off
-    (none is expected).
-    """
-    obstructions = enumerate_obstructions(g)
-    if not obstructions:
-        return HittingResult(deleted=(), weight=0.0, lp_value=0.0, n_constraints=0)
+def _solve_hitting_lp(g: WeightedGraph, rows: np.ndarray) -> tuple[np.ndarray, float]:
+    """Optimum of min w.x s.t. x(A) >= 1 for every padded row A, 0 <= x <= 1."""
     nv = g.n
-    a_ub = np.zeros((len(obstructions), nv))
-    for row, obs in enumerate(obstructions):
-        for v in obs:
-            a_ub[row, v] = -1.0
-    b_ub = -np.ones(len(obstructions))
+    a_ub = np.zeros((len(rows), nv + 1))
+    a_ub[np.arange(len(rows))[:, None], rows] = -1.0
     res = linprog(
         np.asarray(g.weights),
-        A_ub=a_ub,
-        b_ub=b_ub,
+        A_ub=a_ub[:, :nv],
+        b_ub=-np.ones(len(rows)),
         bounds=(0.0, 1.0),
         method="highs",
     )
     if not res.success:
         raise PipelineError("hitting", f"LP solve failed: {res.message}")
-    xstar = res.x
+    return res.x, float(res.fun)
+
+
+def hit_c4_gem(g: WeightedGraph) -> HittingResult:
+    """LP-rounded hitting set making the graph (C4, gem)-free.
+
+    Solves min sum w_v x_v subject to sum_{v in A} x_v >= 1 over every
+    induced C4/gem A, keeps X = {v : x_v >= 0.2}.  The LP is solved by row
+    generation: first over the C4 rows, then again with every gem row the
+    optimum violates, until none is violated; that optimum is the full LP's.
+    A post-check rescans the remainder and greedily patches any obstruction
+    that survived LP round-off (none is expected).
+    """
+    obstructions = enumerate_obstructions(g)
+    if not obstructions:
+        return HittingResult(deleted=(), weight=0.0, lp_value=0.0, n_constraints=0)
+    nv = g.n
+    # one row of vertex ids per obstruction; a C4 is padded with the dummy id
+    # nv, whose x is 0
+    rows = np.array([obs + (nv,) * (5 - len(obs)) for obs in obstructions], dtype=np.intp)
+    in_lp = rows[:, 4] == nv
+    xstar, lp_value = np.zeros(nv), 0.0
+    if in_lp.any():
+        xstar, lp_value = _solve_hitting_lp(g, rows[in_lp])
+    while True:
+        violated = ~in_lp & (np.append(xstar, 0.0)[rows].sum(1) < 1.0 - HIT_TOL)
+        if not violated.any():
+            break
+        in_lp |= violated
+        xstar, lp_value = _solve_hitting_lp(g, rows[in_lp])
     chosen = {v for v in range(nv) if xstar[v] >= HIT_THRESHOLD - HIT_TOL}
     while True:
         remainder, old_ids = g.delete(chosen)
@@ -104,7 +121,7 @@ def hit_c4_gem(g: WeightedGraph) -> HittingResult:
     return HittingResult(
         deleted=vset(chosen),
         weight=g.weight_of(chosen),
-        lp_value=float(res.fun),
+        lp_value=lp_value,
         n_constraints=len(obstructions),
     )
 

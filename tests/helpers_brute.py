@@ -3,10 +3,11 @@
 Everything here deliberately avoids the production code paths: recognizers
 work by exhaustive subset scans, chordality by greedy simplicial elimination,
 the FVSP reference by literal enumeration of downward-closed sets, the
-instance check by explicit ancestor sets, and the C4 and gem references by
-plain pair and subset scans.  The ICD section holds the analysis helpers the
-tests use to compare lattices, walk them and state the lifting lemma
-(``icd_equivalent``, ``descendants``, ``ancestors``, ``closure``).
+instance check by explicit ancestor sets, the C4 and gem references by plain
+pair and subset scans, the hitting LP by one solve over all of their rows,
+and the FVSP LP model by a per-arc loop.  The ICD section holds the analysis
+helpers the tests use to compare lattices, walk them and state the lifting
+lemma (``icd_equivalent``, ``descendants``, ``ancestors``, ``closure``).
 """
 
 from __future__ import annotations
@@ -17,7 +18,9 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from ptodel.fvsp import FvspInstance, InstanceViolation
+from scipy.optimize import linprog
+
+from ptodel.fvsp import FvspInstance, InstanceViolation, LpModel
 from ptodel.graphs import VertexSet, WeightedGraph, vset
 from ptodel.lattice import InterCliqueDigraph
 
@@ -192,6 +195,26 @@ def gem_scan_brute(g: WeightedGraph):
                 yield vset(quad + (apex,))
 
 
+def hitting_lp_brute(g: WeightedGraph) -> float:
+    """Optimum of the C4/gem hitting LP, solved once over every row."""
+    rows = sorted(set(c4_scan_brute(g)) | set(gem_scan_brute(g)))
+    if not rows:
+        return 0.0
+    a_ub = np.zeros((len(rows), g.n))
+    for r, obs in enumerate(rows):
+        for v in obs:
+            a_ub[r, v] = -1.0
+    res = linprog(
+        np.asarray(g.weights),
+        A_ub=a_ub,
+        b_ub=-np.ones(len(rows)),
+        bounds=(0.0, 1.0),
+        method="highs",
+    )
+    assert res.success, res.message
+    return float(res.fun)
+
+
 def is_ptolemaic_brute(g: WeightedGraph) -> bool:
     return not has_hole_brute(g) and not has_gem_brute(g)
 
@@ -318,6 +341,31 @@ def remainder_is_forest(inst: FvspInstance, deleted) -> bool:
             return False
         parent[ru] = rv
     return True
+
+
+def build_lp_loop(inst: FvspInstance) -> LpModel:
+    """Reference ``build_lp``: fills the constraint matrices arc by arc."""
+    n, m = inst.n, inst.m
+    nv = n + 2 * m
+    c = np.zeros(nv)
+    c[:n] = inst.weights
+    a_eq = np.zeros((m, nv))
+    b_eq = np.ones(m)
+    a_ub = np.zeros((n + m, nv))
+    b_ub = np.ones(n + m)
+    for j, (u, v) in enumerate(inst.arcs):
+        a_eq[j, v] = 1.0
+        a_eq[j, n + 2 * j] = 1.0
+        a_eq[j, n + 2 * j + 1] = 1.0
+        a_ub[u, n + 2 * j] += 1.0
+        a_ub[v, n + 2 * j + 1] += 1.0
+        # precedence row: z_u - z_v <= 0
+        a_ub[n + j, u] = 1.0
+        a_ub[n + j, v] = -1.0
+        b_ub[n + j] = 0.0
+    for v in range(n):
+        a_ub[v, v] = 1.0
+    return LpModel(inst=inst, c=c, a_eq=a_eq, b_eq=b_eq, a_ub=a_ub, b_ub=b_ub)
 
 
 def exact_fvsp_by_ideals(inst: FvspInstance) -> tuple[float, frozenset[int]]:

@@ -124,7 +124,17 @@ class TestIcd:
         path = write(tmp_path, "c5.gr", format_graph(cycle_graph(5)))
         code, out, err = run(capsys, "icd", path, "--oracle", "--budget", budget)
         assert (code, out) == (2, "")
-        assert err == f"error: 5 maximal cliques exceeds the oracle budget {budget}\n"
+        if budget == "0":
+            assert err == "error: budget must be positive\n"
+        else:
+            assert err == f"error: 5 maximal cliques exceeds the oracle budget {budget}\n"
+
+    @pytest.mark.parametrize("budget", ["0", "-3"])
+    def test_oracle_budget_must_be_positive_on_empty_graph(self, tmp_path, capsys, budget):
+        # p 0 0 has no maximal clique, so no count can exceed the budget
+        path = write(tmp_path, "empty.gr", "p 0 0\n")
+        code, out, err = run(capsys, "icd", path, "--oracle", "--budget", budget)
+        assert (code, out, err) == (2, "", "error: budget must be positive\n")
 
 
 class TestFvsp:
@@ -177,6 +187,12 @@ class TestOracleCommands:
     def test_zero_budget_exit_2(self, tmp_path, capsys):
         path = write(tmp_path, "c5.gr", format_graph(cycle_graph(5)))
         code, out, err = run(capsys, "oracle", "pd", path, "--budget", "0")
+        assert (code, out, err) == (2, "", "error: budget bounds must be positive\n")
+
+    @pytest.mark.parametrize("kind", ["pd", "fvsp"])
+    def test_bad_budget_wins_over_missing_file(self, tmp_path, capsys, kind):
+        missing = str(tmp_path / "missing.gr")
+        code, out, err = run(capsys, "oracle", kind, missing, "--budget", "0")
         assert (code, out, err) == (2, "", "error: budget bounds must be positive\n")
 
 

@@ -6,17 +6,19 @@ import math
 import random
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from generators import random_multitree
+from generators import random_c4gem_free, random_multitree
 from helpers_brute import (
+    build_lp_loop,
     exact_fvsp_by_ideals,
     remainder_is_forest,
     validate_instance_brute,
 )
-from ptodel.fixtures import cycle_graph
+from ptodel.fixtures import cycle_graph, fixture_graph
 from ptodel.fvsp import (
     DEFAULT_PARAMS,
     FvspFormatError,
@@ -39,6 +41,7 @@ from ptodel.fvsp import (
 )
 from ptodel.lattice import build_icd
 from ptodel.oracle import exact_fvsp
+from ptodel.pipeline import hit_c4_gem, reduce_to_fvsp
 
 # s1=0, s2=1, t1=2, t2=3: an undirected 4-cycle with two sources
 ST = FvspInstance(4, [(0, 2), (1, 2), (1, 3), (0, 3)], [1.0] * 4)
@@ -138,6 +141,21 @@ class TestLpModel:
     def test_icd_c5_at_most_one(self):
         inst = icd_c5_instance()
         assert solve_lp(build_lp(inst)).objective <= 1.0 + 1e-9
+
+    def test_matches_per_arc_loop(self):
+        insts = [ST, FOREST, FvspInstance(0, [], []), FvspInstance(1, [], [3.0])]
+        for name in ("diamond", "gem", "house", "domino", "bull", "dart", "cycle5"):
+            g = fixture_graph(name)
+            insts.append(reduce_to_fvsp(g.delete(hit_c4_gem(g).deleted)[0])[1])
+        rng = random.Random(11)
+        for _ in range(30):
+            g = random_c4gem_free(rng, rng.randint(4, 14), rng.choice([0.3, 0.5, 0.7]))
+            insts.append(reduce_to_fvsp(g)[1])
+        insts += [random_multitree(rng, rng.randint(2, 12)) for _ in range(30)]
+        for inst in insts:
+            got, want = build_lp(inst), build_lp_loop(inst)
+            for name in ("c", "a_eq", "b_eq", "a_ub", "b_ub"):
+                assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
     def test_deterministic(self):
         a = solve_lp(build_lp(ST))

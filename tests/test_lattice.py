@@ -126,6 +126,13 @@ class TestBruteForceExamples:
         with pytest.raises(BruteForceBudgetError):
             brute_force_icd(cycle_graph(5), max_clique_budget=3)
 
+    @pytest.mark.parametrize("budget", [0, -3])
+    def test_budget_must_be_positive(self, budget):
+        # checked before the clique count: the empty graph has none to exceed it
+        for g in (WeightedGraph(0, []), cycle_graph(5)):
+            with pytest.raises(ValueError, match="^budget must be positive$"):
+                brute_force_icd(g, max_clique_budget=budget)
+
     def test_closure_path_matches_subset_dp(self, monkeypatch):
         # both enumeration strategies must produce the same lattice
         import ptodel.lattice as lattice_mod

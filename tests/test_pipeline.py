@@ -7,7 +7,12 @@ import time
 import pytest
 
 from generators import random_c4gem_free, random_graph
-from helpers_brute import closure, downward_closed_sets, remainder_is_forest
+from helpers_brute import (
+    closure,
+    downward_closed_sets,
+    hitting_lp_brute,
+    remainder_is_forest,
+)
 from ptodel import fvsp, pipeline
 from ptodel.fixtures import complete_graph, cycle_graph, fixture_graph, path_graph
 from ptodel.fvsp import FvspInstance, InstanceViolation
@@ -111,6 +116,76 @@ class TestHittingStage:
         remainder, _ = g.delete(hr.deleted)
         assert _is_free(remainder)
         assert hr.deleted != ()
+
+
+class TestRowGeneration:
+    """The hitting LP is solved over the C4 rows first, then again with the gem
+    rows its optimum violates; the optimum must be the one-shot LP's."""
+
+    @staticmethod
+    def _count_solves(monkeypatch):
+        calls = []
+        real = pipeline.linprog
+
+        def counting(*args, **kwargs):
+            calls.append(len(kwargs["A_ub"]))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "linprog", counting)
+        return calls
+
+    @staticmethod
+    def _hits_every_obstruction(g, hr):
+        deleted = set(hr.deleted)
+        return all(deleted & set(obs) for obs in enumerate_obstructions(g))
+
+    @pytest.mark.parametrize(
+        "n, p", [(22, 0.5), (90, 4.8 / 90)], ids=["dense_obstructions", "sparse_er"]
+    )
+    def test_optimum_matches_one_shot_lp(self, n, p):
+        rng = random.Random(7)
+        for _ in range(6):
+            g = random_graph(rng, n, p, (1.0, 10.0))
+            hr = hit_c4_gem(g)
+            assert hr.lp_value == pytest.approx(hitting_lp_brute(g), rel=1e-9, abs=0)
+            assert hr.n_constraints == len(enumerate_obstructions(g))
+            assert self._hits_every_obstruction(g, hr)
+
+    def test_violated_gem_rows_trigger_a_second_solve(self, monkeypatch):
+        # a C4 beside a gem: the C4 rows' optimum leaves the gem's x at 0
+        c4 = list(cycle_graph(4).edges)
+        gem = [(u + 4, v + 4) for u, v in fixture_graph("gem").edges]
+        g = WeightedGraph(9, c4 + gem)
+        calls = self._count_solves(monkeypatch)
+        hr = hit_c4_gem(g)
+        assert calls == [1, 2]  # rows per solve: the C4, then the gem too
+        assert hr.lp_value == pytest.approx(hitting_lp_brute(g), rel=1e-9, abs=0)
+        assert hr.n_constraints == 2
+        assert self._hits_every_obstruction(g, hr)
+
+    def test_solve_count_is_bounded_by_the_gem_rows(self, monkeypatch):
+        rng = random.Random(1)
+        calls = self._count_solves(monkeypatch)
+        most = 0
+        for _ in range(40):
+            g = random_graph(rng, 22, 0.5, (1.0, 10.0))
+            calls.clear()
+            hr = hit_c4_gem(g)
+            gems = sum(1 for obs in enumerate_obstructions(g) if len(obs) == 5)
+            assert 1 <= len(calls) <= gems + 1
+            assert all(a < b for a, b in zip(calls, calls[1:]))  # rows only join
+            assert self._hits_every_obstruction(g, hr)
+            most = max(most, len(calls))
+        assert most >= 2  # some seeded case needs a violated gem row
+
+    def test_gem_only_starts_from_zero(self, monkeypatch):
+        # no C4 rows: x = 0 violates the gem row, so the one solve holds it
+        g = fixture_graph("gem")
+        calls = self._count_solves(monkeypatch)
+        hr = hit_c4_gem(g)
+        assert calls == [1]
+        assert hr.lp_value == pytest.approx(hitting_lp_brute(g), rel=1e-9, abs=0)
+        assert self._hits_every_obstruction(g, hr)
 
 
 class TestReduction:
