@@ -89,6 +89,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 
 def cmd_icd(args: argparse.Namespace) -> int:
+    if args.oracle and args.budget < 1:
+        raise ValueError("budget must be positive")
     g = parse_graph(_read(args.input))
     if args.oracle:
         icd = brute_force_icd(g, args.budget)

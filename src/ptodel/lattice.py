@@ -9,19 +9,19 @@ of its ICD is a forest, which is what makes this structure the bridge from
 vertex deletion to feedback vertex set.
 
 Two constructions are provided.  ``build_icd`` is the polynomial-time
-algorithm for (C4, gem)-free inputs: it closes the per-vertex source masks
-(indices of the maximal cliques containing a vertex) under pairwise
-intersection, and one sweep of each maximal clique's nodes, which there form
-a laminar out-tree, gives the arcs and checks that structure.
-``brute_force_icd`` enumerates subsets of the maximal cliques directly and is
-the desk-scale oracle the fast construction is validated against.
+algorithm for (C4, gem)-free inputs and the only one production code uses:
+its nodes are the per-vertex source masks (indices of the maximal cliques
+containing a vertex) and their ANDs across the edges, and one sweep of each
+maximal clique's nodes, which there form a laminar out-tree, gives the arcs
+and checks that structure.  ``brute_force_icd`` enumerates subsets of the
+maximal cliques directly; it is the desk-scale oracle behind ``icd --oracle``
+and the tests, which validate the fast construction against it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, count
 from typing import Optional
 
 from .graphs import (
@@ -37,8 +37,7 @@ from .graphs import (
 
 
 _SUBSET_DP_LIMIT = 13  # above this many maximal cliques, enumerate by closure
-# the most maximal cliques brute_force_icd accepts by default; up to this many,
-# is_ptolemaic_via_icd checks the graph through that oracle
+# the most maximal cliques brute_force_icd accepts by default (``icd --oracle``)
 ORACLE_CLIQUE_BUDGET = 20
 
 
@@ -156,66 +155,36 @@ def _clique_forest(
     return arcs, None
 
 
-def _close_sources(seeds: list[int], n: int) -> set[int]:
-    """Close source masks under nonempty pairwise intersection, intersecting
-    only the previous round's new sets with the family (every other pair met
-    in an earlier round).  Guards: 2n^3 sets and n + 1 rounds."""
-    node_bound = max(2 * n * n * n, 1)
-    family = set(seeds)
-    old: list[int] = []
-    new = list(family)
-    for rounds in count(1):
-        fresh = {a & b for i, a in enumerate(new) for b in chain(old, new[i + 1 :])}
-        old += new
-        new = list(fresh - family - {0})
-        if not new:
-            return family
-        family.update(new)
-        if len(family) > node_bound:
-            raise IcdStructureError(
-                f"{len(family)} clique-intersection nodes exceeds the "
-                f"2n^3 = {node_bound} bound; input is not (C4, gem)-free"
-            )
-        if rounds > n + 1:
-            raise IcdStructureError(
-                "source-set closure did not stabilize within the height "
-                "bound; input is not (C4, gem)-free"
-            )
-
-
-def _guarded_cliques(g: WeightedGraph) -> list[VertexSet]:
-    """Maximal cliques under the C4-free guard; tripping it raises
-    IcdStructureError."""
-    try:
-        return maximal_cliques(g, c4_free=True)
-    except CliqueGuardError as exc:
-        raise IcdStructureError(str(exc)) from exc
-
-
 def build_icd(g: WeightedGraph) -> InterCliqueDigraph:
     """Polynomial-time ICD construction for (C4, gem)-free graphs.
 
-    Closes the per-vertex source masks (one per true-twin class) under
-    pairwise intersection semi-naively, materializes each source set as the
-    intersection of its maximal cliques, and reads the arcs off one sweep of
-    each maximal clique's laminar family; ``phi`` reads each vertex's mask.
-    Structural guards (more than n^2 maximal cliques, node count above 2n^3,
-    fixpoint not reached within n rounds, equal cliques, a family that is
-    not a laminar out-tree) raise IcdStructureError; they indicate the
-    precondition failed.
+    A node's source mask is the AND of its vertices' masks (the maximal
+    cliques holding all of them), so the nodes are the closure of the
+    per-vertex masks under nonzero AND.  Two vertices' masks meet exactly
+    when the vertices are adjacent, so one round of that closure is the
+    vertex masks plus one AND per edge.  One round reaches every node when
+    each maximal clique's nodes form a laminar family, as they do on
+    (C4, gem)-free input (Uehara and Uno 2005): for a clique S, laminarity
+    puts all of S into the largest node K_uv over pairs u, v of S, so
+    K_S = K_uv.  The per-clique sweep that reads the arcs checks that
+    laminarity, so when it passes, the family is the whole closure.
+
+    Each source mask is materialized as the intersection of its maximal
+    cliques; ``phi`` reads each vertex's mask.  Structural guards (more than
+    n^2 maximal cliques, equal cliques, a family that is not a laminar
+    out-tree) raise IcdStructureError; they indicate the precondition failed.
     """
-    return _icd_from_cliques(g, _guarded_cliques(g))
-
-
-def _icd_from_cliques(g: WeightedGraph, mc: list[VertexSet]) -> InterCliqueDigraph:
-    """``build_icd`` given the graph's maximal cliques."""
+    try:
+        mc = maximal_cliques(g, c4_free=True)
+    except CliqueGuardError as exc:
+        raise IcdStructureError(str(exc)) from exc
     n = g.n
     mc_masks = [_mask_of(c) for c in mc]
     vertex_src = [0] * n
     for i, c in enumerate(mc):
         for v in c:
             vertex_src[v] |= 1 << i
-    src_family = _close_sources(vertex_src, n)
+    src_family = set(vertex_src) | {vertex_src[u] & vertex_src[v] for u, v in g.edges}
 
     def clique_of(smask: int) -> int:
         cm = (1 << n) - 1
@@ -353,14 +322,12 @@ def check_laminar_out_trees(
 
 def is_ptolemaic_via_icd(g: WeightedGraph) -> bool:
     """Ptolemaic test through the clique lattice: the underlying graph of the
-    ICD must be a forest.  Up to ``ORACLE_CLIQUE_BUDGET`` maximal cliques the
-    brute-force oracle builds it, above that ``build_icd``."""
-    mc = _guarded_cliques(g)
-    if len(mc) <= ORACLE_CLIQUE_BUDGET:
-        icd = brute_force_icd(g)
-    else:
-        icd = _icd_from_cliques(g, mc)
-    return icd.underlying_is_forest()
+    ICD must be a forest.  Every ptolemaic graph is (C4, gem)-free, where
+    ``build_icd`` never raises, so a structural error is a False verdict."""
+    try:
+        return build_icd(g).underlying_is_forest()
+    except IcdStructureError:
+        return False
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,9 @@ instance check by explicit ancestor sets, the C4 and gem references by plain
 pair and subset scans, the hitting LP by one solve over all of their rows,
 and the FVSP LP model by a per-arc loop.  The ICD section holds the analysis
 helpers the tests use to compare lattices, walk them and state the lifting
-lemma (``icd_equivalent``, ``descendants``, ``ancestors``, ``closure``).
+lemma (``icd_equivalent``, ``descendants``, ``ancestors``, ``closure``), and
+the closure of source masks under intersection (``close_sources``) that
+``build_icd``'s one-round node family is checked against.
 """
 
 from __future__ import annotations
@@ -414,6 +416,25 @@ def icd_equivalent(a: InterCliqueDigraph, b: InterCliqueDigraph) -> bool:
     wts_a = {a.cliques[i]: w for i, w in enumerate(a.node_weights)}
     wts_b = {b.cliques[i]: w for i, w in enumerate(b.node_weights)}
     return wts_a == wts_b
+
+
+def close_sources(seeds: list[int]) -> set[int]:
+    """Close source masks under nonempty pairwise intersection, intersecting
+    only the previous round's new sets with the family (every other pair met
+    in an earlier round)."""
+    family = set(seeds)
+    old: list[int] = []
+    new = list(family)
+    while new:
+        fresh = {
+            a & b
+            for i, a in enumerate(new)
+            for b in itertools.chain(old, new[i + 1 :])
+        }
+        old += new
+        new = list(fresh - family - {0})
+        family.update(new)
+    return family
 
 
 def parents(icd: InterCliqueDigraph) -> tuple[tuple[int, ...], ...]:

@@ -136,6 +136,14 @@ class TestIcd:
         code, out, err = run(capsys, "icd", path, "--oracle", "--budget", budget)
         assert (code, out, err) == (2, "", "error: budget must be positive\n")
 
+    def test_bad_budget_wins_over_missing_file(self, tmp_path, capsys):
+        missing = str(tmp_path / "missing.gr")
+        code, out, err = run(capsys, "icd", missing, "--oracle", "--budget", "0")
+        assert (code, out, err) == (2, "", "error: budget must be positive\n")
+        # without --oracle the budget is not read
+        code, out, err = run(capsys, "icd", missing, "--budget", "0")
+        assert (code, out) == (2, "") and "No such file or directory" in err
+
 
 class TestFvsp:
     def test_forest(self, tmp_path, capsys):

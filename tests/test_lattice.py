@@ -7,13 +7,14 @@ import pytest
 from helpers_brute import (
     all_graph_masks,
     ancestors,
+    close_sources,
     descendants,
     graph_from_mask,
     icd_cycles,
     icd_equivalent,
     segment_length,
 )
-from generators import large_clique, random_c4gem_free
+from generators import large_clique, random_c4gem_free, random_graph
 from ptodel import lattice
 from ptodel.fixtures import complete_graph, cycle_graph, fixture_graph, path_graph
 from ptodel.fvsp import FvspInstance, validate_instance
@@ -24,12 +25,12 @@ from ptodel.graphs import (
     find_induced_c4,
     find_induced_gem,
     is_ptolemaic,
+    maximal_cliques,
 )
 from ptodel.lattice import (
     BruteForceBudgetError,
     IcdStructureError,
     InterCliqueDigraph,
-    _close_sources,
     brute_force_icd,
     build_icd,
     check_laminar_out_trees,
@@ -233,7 +234,7 @@ class TestOracleEquivalence:
             except BruteForceBudgetError:
                 continue
             seeds = [_mask_of(oracle.src_sets[x]) for x in oracle.phi]
-            family = _close_sources(seeds, n)
+            family = close_sources(seeds)
             assert family == {_mask_of(s) for s in oracle.src_sets}
             one_round = set(seeds) | {a & b for a in seeds for b in seeds}
             one_round.discard(0)
@@ -253,6 +254,50 @@ class TestOracleEquivalence:
         for icd in _sample_icds():
             n = len(icd.phi)
             assert icd.n_nodes <= max(2 * n * n * n, 1)
+
+    @staticmethod
+    def _raises_or_is_closure(g):
+        """build_icd raises, or its source sets are the full closure of the
+        vertex seeds; returns whether it raised."""
+        try:
+            icd = build_icd(g)
+        except IcdStructureError:
+            return True
+        seeds = [
+            sum(1 << m for m, mc in enumerate(icd.max_cliques) if v in mc)
+            for v in range(g.n)
+        ]
+        assert {_mask_of(s) for s in icd.src_sets} == close_sources(seeds), g.edges
+        return False
+
+    def test_one_round_family_is_the_closure_or_raises(self):
+        # the one-round family misses a node only where a per-clique family
+        # is not laminar, which the sweep rejects
+        rng = random.Random(37)
+        outcomes = []
+        for _ in range(600):
+            n = rng.randint(6, 12)
+            g = graph_from_mask(n, rng.getrandbits(n * (n - 1) // 2))
+            outcomes.append(self._raises_or_is_closure(g))
+        for _ in range(150):
+            n = rng.randint(10, 40)
+            g = random_graph(rng, n, rng.uniform(1.0, 4.0) / n)
+            outcomes.append(self._raises_or_is_closure(g))
+        assert sum(outcomes) >= 100 and outcomes.count(False) >= 100
+
+    def test_one_round_family_at_scale(self):
+        # (C4, gem)-free pieces glued at one vertex each stay (C4, gem)-free:
+        # both obstructions are 2-connected, so each lies inside one piece
+        rng = random.Random(41)
+        n, edges = 1, []
+        while n < 2000:
+            piece = random_c4gem_free(rng, rng.randint(8, 16), rng.uniform(0.3, 0.6))
+            at = rng.randrange(n)
+            ids = [at] + list(range(n, n + piece.n - 1))
+            edges += [(ids[u], ids[v]) for u, v in piece.edges]
+            n += piece.n - 1
+        g = WeightedGraph(n, edges)
+        assert not self._raises_or_is_closure(g)
 
 
 class TestStructuralChecks:
@@ -443,28 +488,28 @@ class TestPtolemaicViaIcd:
         assert is_ptolemaic_via_icd(path_graph(4))
 
     def test_enumerates_the_cliques_once(self, monkeypatch):
-        # above the oracle's budget, the guarded list goes straight to the
-        # ICD construction
+        # one path at every size: the guarded list goes straight to the ICD
+        # construction, and the brute-force oracle is never asked
         calls = []
         real = lattice.maximal_cliques
         monkeypatch.setattr(
             lattice, "maximal_cliques", lambda g, **kw: calls.append(kw) or real(g, **kw)
         )
-        assert is_ptolemaic_via_icd(path_graph(30))  # 29 maximal cliques
+        monkeypatch.setattr(lattice, "brute_force_icd", None)
+        assert is_ptolemaic_via_icd(path_graph(3))  # 2 maximal cliques
+        assert is_ptolemaic_via_icd(path_graph(30))  # 29
         assert not is_ptolemaic_via_icd(cycle_graph(30))  # 30, and a hole
-        assert calls == [{"c4_free": True}] * 2
+        assert calls == [{"c4_free": True}] * 3
 
-    def test_clique_guard_raises_as_in_build_icd(self):
+    def test_clique_guard_is_false_where_build_icd_raises(self):
         # a perfect matching's complement on 20 vertices: 2^10 > 20^2 cliques
         g = WeightedGraph(
             20, [(u, v) for u in range(20) for v in range(u + 1, 20) if v != u ^ 1]
         )
-        with pytest.raises(IcdStructureError) as via:
-            is_ptolemaic_via_icd(g)
+        assert is_ptolemaic_via_icd(g) is False
         with pytest.raises(IcdStructureError) as direct:
             build_icd(g)
-        assert str(via.value) == str(direct.value)
-        assert str(via.value).startswith("more than 400 maximal cliques on 20")
+        assert str(direct.value).startswith("more than 400 maximal cliques on 20")
 
     def test_agrees_with_obstruction_scan(self):
         rng = random.Random(27)
@@ -472,6 +517,23 @@ class TestPtolemaicViaIcd:
             n = rng.randint(1, 7)
             g = graph_from_mask(n, rng.getrandbits(n * (n - 1) // 2))
             assert is_ptolemaic_via_icd(g) == is_ptolemaic(g)[0]
+        # more than 20 maximal cliques, where build_icd raises on some of the
+        # graphs that are not (C4, gem)-free
+        raised = ptolemaic = checked = 0
+        while checked < 200:
+            n = rng.randint(16, 30)
+            g = random_graph(rng, n, rng.uniform(0.8, 4.0) / n)
+            if len(maximal_cliques(g)) <= 20:
+                continue
+            checked += 1
+            try:
+                build_icd(g)
+            except IcdStructureError:
+                raised += 1
+            verdict = is_ptolemaic(g)[0]
+            assert is_ptolemaic_via_icd(g) == verdict, g.edges
+            ptolemaic += verdict
+        assert raised >= 20 and ptolemaic >= 10
 
 
 class TestExport:

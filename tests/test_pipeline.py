@@ -14,17 +14,20 @@ from helpers_brute import (
     remainder_is_forest,
 )
 from ptodel import fvsp, pipeline
+from ptodel.cli import main
 from ptodel.fixtures import complete_graph, cycle_graph, fixture_graph, path_graph
 from ptodel.fvsp import FvspInstance, InstanceViolation
 from ptodel.graphs import (
     WeightedGraph,
     find_induced_c4,
     find_induced_gem,
+    format_graph,
     is_ptolemaic,
 )
-from ptodel.lattice import build_icd, is_ptolemaic_via_icd
+from ptodel.lattice import IcdStructureError, build_icd, is_ptolemaic_via_icd
 from ptodel.oracle import exact_c4gem_hitting, exact_fvsp, exact_ptolemaic_deletion
 from ptodel.pipeline import (
+    HittingResult,
     PipelineError,
     enumerate_obstructions,
     hit_c4_gem,
@@ -357,6 +360,30 @@ class TestEndToEnd:
             res = solve_ptolemaic_deletion(g)
             assert res.weight == pytest.approx(res.hitting.weight + res.lifted_weight)
             assert res.lifted_weight == pytest.approx(res.fvsp.weight, abs=1e-9)
+
+    def test_verify_failure_is_tagged(self, monkeypatch, tmp_path, capsys):
+        # stages that hand the verifier a remainder with a gem and 22 maximal
+        # cliques: build_icd raises on it, and the verdict is still [verify]
+        monkeypatch.setattr(pipeline, "hit_c4_gem", lambda g: HittingResult((), 0.0, 0.0, 0))
+        empty = WeightedGraph(0, [])
+        monkeypatch.setattr(
+            pipeline,
+            "reduce_to_fvsp",
+            lambda g: (build_icd(empty), FvspInstance(0, (), ())),
+        )
+        gem = fixture_graph("gem")
+        path = [(gem.n + i, gem.n + i + 1) for i in range(19)]
+        g = WeightedGraph(gem.n + 20, list(gem.edges) + path)
+        with pytest.raises(IcdStructureError):
+            build_icd(g)
+        with pytest.raises(PipelineError) as info:
+            solve_ptolemaic_deletion(g)
+        assert info.value.stage == "verify"
+        gr = tmp_path / "g.gr"
+        gr.write_text(format_graph(g))
+        assert main(["solve", str(gr)]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: [verify] ")
 
     def test_json_shape(self):
         js = result_to_json(solve_ptolemaic_deletion(cycle_graph(5)))
