@@ -64,6 +64,8 @@ class FvspInstance:
     weights: tuple[float, ...]
 
     def __init__(self, n: int, arcs: Iterable[tuple[int, int]], weights: Iterable[float]):
+        if n < 0:
+            raise ValueError("node count must be nonnegative")
         arc_set = set()
         for u, v in arcs:
             if not (0 <= u < n and 0 <= v < n):
@@ -221,7 +223,8 @@ DEFAULT_PARAMS = RoundingParams()
 
 @dataclass(frozen=True)
 class LpModel:
-    """Variables: z_0..z_{n-1}, then (tail, head) orientation pair per arc."""
+    """Column layout: z_0..z_{n-1}, then x_tail, x_head of each arc j in turn
+    (columns n + 2j and n + 2j + 1)."""
 
     inst: FvspInstance
     c: np.ndarray
@@ -229,16 +232,6 @@ class LpModel:
     b_eq: np.ndarray
     a_ub: np.ndarray
     b_ub: np.ndarray
-
-    @property
-    def n_vars(self) -> int:
-        return len(self.c)
-
-    def x_tail(self, arc_idx: int) -> int:
-        return self.inst.n + 2 * arc_idx
-
-    def x_head(self, arc_idx: int) -> int:
-        return self.inst.n + 2 * arc_idx + 1
 
 
 def build_lp(inst: FvspInstance) -> LpModel:
@@ -273,30 +266,23 @@ def build_lp(inst: FvspInstance) -> LpModel:
 
 @dataclass(frozen=True)
 class FvspLpSolution:
-    """Optimal fractional deletion/orientation values.
-
-    ``x[j]`` holds the (tail, head) values of arc j.
-    """
+    """Optimal fractional values: ``z`` per node, ``x_tail``/``x_head`` per
+    arc."""
 
     z: tuple[float, ...]
-    x: tuple[tuple[float, float], ...]
+    x_tail: tuple[float, ...]
+    x_head: tuple[float, ...]
     objective: float
     max_residual: float
-
-    def x_head(self, j: int) -> float:
-        return self.x[j][1]
-
-    def x_tail(self, j: int) -> float:
-        return self.x[j][0]
 
 
 def solve_lp(model: LpModel) -> FvspLpSolution:
     """Solve to optimality with the HiGHS backend; deterministic for a fixed
     model.  Raises LpSolveError on solver failure or residuals above 1e-8
     (the instance itself is always feasible: all-z=1 works)."""
-    inst = model.inst
-    if model.n_vars == 0:
-        return FvspLpSolution(z=(), x=(), objective=0.0, max_residual=0.0)
+    n = model.inst.n
+    if n == 0:
+        return FvspLpSolution((), (), (), objective=0.0, max_residual=0.0)
     res = linprog(
         model.c,
         A_ub=model.a_ub if len(model.a_ub) else None,
@@ -317,13 +303,12 @@ def solve_lp(model: LpModel) -> FvspLpSolution:
     resid = max(resid, float(np.max(-res.x)), float(np.max(res.x - 1.0)))
     if resid > LP_RESIDUAL_TOL:
         raise LpSolveError(f"LP residual {resid:.3e} exceeds {LP_RESIDUAL_TOL:.0e}")
-    z = tuple(float(sol[v]) for v in range(inst.n))
-    x = tuple(
-        (float(sol[model.x_tail(j)]), float(sol[model.x_head(j)]))
-        for j in range(inst.m)
-    )
     return FvspLpSolution(
-        z=z, x=x, objective=float(res.fun), max_residual=resid
+        z=tuple(sol[:n].tolist()),
+        x_tail=tuple(sol[n::2].tolist()),
+        x_head=tuple(sol[n + 1 :: 2].tolist()),
+        objective=float(res.fun),
+        max_residual=resid,
     )
 
 
@@ -351,6 +336,20 @@ class RoundingOutcome:
         return self.step1 | self.step3
 
 
+def _breakpoints(
+    inst: FvspInstance, lp: FvspLpSolution
+) -> list[tuple[float, float, float]]:
+    """Per arc j = (u, v), the rounding's three thresholds: the ends
+    xbar - (z_v - z_u) and xbar of its deletion interval, where
+    xbar = 1 - x_head[j] is also the head's pointer threshold, and the tail's
+    pointer threshold 1 - x_tail[j]."""
+    out = []
+    for (u, v), xt, xh in zip(inst.arcs, lp.x_tail, lp.x_head):
+        xbar = 1.0 - xh
+        out.append((xbar - (lp.z[v] - lp.z[u]), xbar, 1.0 - xt))
+    return out
+
+
 def round_at(
     inst: FvspInstance,
     lp: FvspLpSolution,
@@ -376,18 +375,18 @@ def round_at(
     step3_mask = 0
     pointers: dict[int, set[int]] = {}
     fired: set[int] = set()
-    for j, (u, v) in enumerate(inst.arcs):
+    for j, ((u, v), (lo, xbar, tail_cut)) in enumerate(
+        zip(inst.arcs, _breakpoints(inst, lp))
+    ):
         if (step1_mask >> u) & 1 or (step1_mask >> v) & 1:
             continue
-        xbar_v = 1.0 - lp.x_head(j)
-        y = lp.z[v] - lp.z[u]
-        if xbar_v - y - INTERVAL_TOL <= theta <= xbar_v + INTERVAL_TOL:
+        if lo - INTERVAL_TOL <= theta <= xbar + INTERVAL_TOL:
             fired.add(j)
             step3_mask |= inst.des_masks[v]
             continue
-        if theta > xbar_v:
+        if theta > xbar:
             pointers.setdefault(v, set()).add(j)
-        if theta > 1.0 - lp.x_tail(j):
+        if theta > tail_cut:
             pointers.setdefault(u, set()).add(j)
     step3_mask &= ~step1_mask
     return RoundingOutcome(
@@ -405,12 +404,8 @@ def theta_candidates(
     consecutive ones; at most 6m + 3 values."""
     lo, hi = params.alpha, params.beta
     breaks = {lo, hi}
-    for j, (u, v) in enumerate(inst.arcs):
-        xbar_v = 1.0 - lp.x_head(j)
-        y = lp.z[v] - lp.z[u]
-        for val in (xbar_v, xbar_v - y, 1.0 - lp.x_tail(j)):
-            if lo <= val <= hi:
-                breaks.add(val)
+    for bps in _breakpoints(inst, lp):
+        breaks.update(val for val in bps if lo <= val <= hi)
     ordered = sorted(breaks)
     mids = [
         (a + b) / 2.0 for a, b in zip(ordered, ordered[1:]) if a != b
@@ -481,55 +476,46 @@ def cleanup_unicyclic(
 
 
 @dataclass(frozen=True)
-class RoundedSolution:
-    theta: float
-    step1: frozenset[int]
-    step3: frozenset[int]
-    cleanup: frozenset[int]
-
-    @property
-    def deleted(self) -> frozenset[int]:
-        return self.step1 | self.step3 | self.cleanup
-
-
-def derandomize(
-    inst: FvspInstance, lp: FvspLpSolution, params: RoundingParams
-) -> RoundedSolution:
-    """Evaluate rounding plus cleanup at every candidate threshold; return
-    the outcome of minimum weight (ties: lexicographically smallest deleted
-    set, then smallest theta)."""
-    best: Optional[tuple[float, tuple[int, ...], float, RoundedSolution]] = None
-    all_nodes = set(range(inst.n))
-    for theta in theta_candidates(inst, lp, params):
-        outcome = round_at(inst, lp, params, theta)
-        remaining = all_nodes - outcome.deleted
-        extra = cleanup_unicyclic(inst, remaining)
-        rs = RoundedSolution(
-            theta=theta,
-            step1=outcome.step1,
-            step3=outcome.step3,
-            cleanup=extra,
-        )
-        total = tuple(sorted(rs.deleted))
-        weight = inst.weight_of(total)
-        key = (weight, total, theta)
-        if best is None or key < best[:3]:
-            best = (weight, total, theta, rs)
-    assert best is not None
-    return best[3]
-
-
-# ---------------------------------------------------------------------------
-# end-to-end solve and verification
-
-
-@dataclass(frozen=True)
 class FvspSolution:
     deleted: tuple[int, ...]
     weight: float
     theta: float
     stage_weights: dict[str, float]
     lp_value: float
+
+
+def derandomize(
+    inst: FvspInstance, lp: FvspLpSolution, params: RoundingParams
+) -> FvspSolution:
+    """Evaluate rounding plus cleanup at every candidate threshold; return
+    the outcome of minimum weight (ties: lexicographically smallest deleted
+    set, then smallest theta)."""
+    best = None
+    all_nodes = set(range(inst.n))
+    for theta in theta_candidates(inst, lp, params):
+        outcome = round_at(inst, lp, params, theta)
+        extra = cleanup_unicyclic(inst, all_nodes - outcome.deleted)
+        total = tuple(sorted(outcome.deleted | extra))
+        key = (inst.weight_of(total), total, theta)
+        if best is None or key < best[0]:
+            best = (key, outcome, extra)
+    assert best is not None
+    (weight, deleted, theta), outcome, extra = best
+    return FvspSolution(
+        deleted=deleted,
+        weight=weight,
+        theta=theta,
+        stage_weights={
+            "step1": inst.weight_of(outcome.step1),
+            "step3": inst.weight_of(outcome.step3),
+            "cleanup": inst.weight_of(extra),
+        },
+        lp_value=lp.objective,
+    )
+
+
+# ---------------------------------------------------------------------------
+# end-to-end solve and verification
 
 
 @dataclass(frozen=True)
@@ -565,23 +551,11 @@ def solve_fvsp(
     violation = validate_instance(inst)
     if violation is not None:
         raise StructureError(f"invalid instance: {violation}")
-    lp = solve_lp(build_lp(inst))
-    rs = derandomize(inst, lp, params)
-    deleted = tuple(sorted(rs.deleted))
-    bad = verify_fvsp_solution(inst, deleted)
+    sol = derandomize(inst, solve_lp(build_lp(inst)), params)
+    bad = verify_fvsp_solution(inst, sol.deleted)
     if bad is not None:
         raise StructureError(f"rounded solution infeasible: {bad}")
-    return FvspSolution(
-        deleted=deleted,
-        weight=inst.weight_of(deleted),
-        theta=rs.theta,
-        stage_weights={
-            "step1": inst.weight_of(rs.step1),
-            "step3": inst.weight_of(rs.step3),
-            "cleanup": inst.weight_of(rs.cleanup),
-        },
-        lp_value=lp.objective,
-    )
+    return sol
 
 
 def solution_to_json(sol: FvspSolution) -> dict:
@@ -589,9 +563,5 @@ def solution_to_json(sol: FvspSolution) -> dict:
         "deleted": list(sol.deleted),
         "weight": sol.weight,
         "theta": sol.theta,
-        "stages": {
-            "step1": sol.stage_weights["step1"],
-            "step3": sol.stage_weights["step3"],
-            "cleanup": sol.stage_weights["cleanup"],
-        },
+        "stages": dict(sol.stage_weights),
     }

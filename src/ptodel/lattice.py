@@ -13,30 +13,29 @@ algorithm for (C4, gem)-free inputs and the only one production code uses:
 its nodes are the per-vertex source masks (indices of the maximal cliques
 containing a vertex) and their ANDs across the edges, and one sweep of each
 maximal clique's nodes, which there form a laminar out-tree, gives the arcs
-and checks that structure.  ``brute_force_icd`` enumerates subsets of the
-maximal cliques directly; it is the desk-scale oracle behind ``icd --oracle``
-and the tests, which validate the fast construction against it.
+and checks that structure.  ``brute_force_icd`` closes the maximal cliques
+under intersection directly; it is the desk-scale oracle behind
+``icd --oracle`` and the tests, which validate the fast construction against
+it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
+from typing import Optional, Sequence
 
 from .graphs import (
     CliqueGuardError,
     VertexSet,
     WeightedGraph,
     _bits_to_list,
-    _lowest,
     _mask_of,
     maximal_cliques,
     union_find,
 )
 
 
-_SUBSET_DP_LIMIT = 13  # above this many maximal cliques, enumerate by closure
 # the most maximal cliques brute_force_icd accepts by default (``icd --oracle``)
 ORACLE_CLIQUE_BUDGET = 20
 
@@ -97,22 +96,21 @@ class InterCliqueDigraph:
 def _assemble(
     g: WeightedGraph,
     max_cliques_list: list[VertexSet],
-    node_pairs: list[tuple[int, int]],
+    cliques: list[VertexSet],
+    src_sets: list[tuple[int, ...]],
     arcs: list[tuple[int, int]],
     phi: list[int],
 ) -> InterCliqueDigraph:
-    """Package nodes (clique_mask, src_mask pairs, already ordered), arcs and
-    phi into the frozen structure."""
-    cliques = tuple(tuple(_bits_to_list(cm)) for cm, _ in node_pairs)
-    src_sets = tuple(tuple(_bits_to_list(sm)) for _, sm in node_pairs)
-    inv: list[list[int]] = [[] for _ in node_pairs]
+    """Package nodes (cliques and source sets, already ordered), arcs and phi
+    into the frozen structure."""
+    inv: list[list[int]] = [[] for _ in cliques]
     for v, x in enumerate(phi):
         inv[x].append(v)
     phi_inv = tuple(tuple(vs) for vs in inv)
     weights = tuple(float(sum(g.weights[v] for v in vs)) for vs in phi_inv)
     return InterCliqueDigraph(
-        cliques=cliques,
-        src_sets=src_sets,
+        cliques=tuple(cliques),
+        src_sets=tuple(src_sets),
         arcs=tuple(sorted(arcs)),
         max_cliques=tuple(max_cliques_list),
         phi=tuple(phi),
@@ -121,33 +119,34 @@ def _assemble(
     )
 
 
-def _node_sort_key(pair: tuple[int, int]) -> tuple[int, tuple[int, ...]]:
-    clique_mask, _ = pair
-    return (-bin(clique_mask).count("1"), tuple(_bits_to_list(clique_mask)))
+def _node_sort_key(clique: VertexSet) -> tuple[int, VertexSet]:
+    return (-len(clique), clique)
 
 
 def _clique_forest(
-    cliques: list[int], srcs: list[int], mc_masks: list[int]
+    cliques: Sequence[VertexSet],
+    srcs: Sequence[tuple[int, ...]],
+    max_cliques: Sequence[VertexSet],
 ) -> tuple[set[tuple[int, int]], Optional[tuple]]:
-    """Visit each maximal clique M's nodes (clique and source masks) largest
-    first; a node's parent is the last node seen that holds its vertices.
-    M's family is a laminar out-tree exactly when M's node comes first and
-    each later node finds one holder for all its vertices.  Returns the
-    parent arcs (then the cover relation of all nodes) and None, or a witness
-    ``(m, None, None)`` (no node M first) or ``(m, p, x)`` (p, the holder of
-    x's lowest vertex, does not hold all of x)."""
-    members: list[list[int]] = [[] for _ in mc_masks]
-    for x in sorted(range(len(cliques)), key=lambda i: -cliques[i].bit_count()):
-        for m in _bits_to_list(srcs[x]):
+    """Visit each maximal clique M's nodes (cliques and source sets, all
+    sorted) largest first; a node's parent is the last node seen that holds
+    its vertices.  M's family is a laminar out-tree exactly when M's node
+    comes first and each later node finds one holder for all its vertices.
+    Returns the parent arcs (then the cover relation of all nodes) and None,
+    or a witness ``(m, None, None)`` (no node M first) or ``(m, p, x)`` (p,
+    the holder of x's lowest vertex, does not hold all of x)."""
+    members: list[list[int]] = [[] for _ in max_cliques]
+    for x in sorted(range(len(cliques)), key=lambda i: -len(cliques[i])):
+        for m in srcs[x]:
             members[m].append(x)
     arcs: set[tuple[int, int]] = set()
     for m, family in enumerate(members):
-        if not family or cliques[family[0]] != mc_masks[m]:
+        if not family or cliques[family[0]] != max_cliques[m]:
             return arcs, (m, None, None)
-        holder = dict.fromkeys(_bits_to_list(mc_masks[m]), family[0])
+        holder = dict.fromkeys(max_cliques[m], family[0])
         for x in family[1:]:
-            vs = _bits_to_list(cliques[x])
-            p = holder.get(_lowest(cliques[x]))
+            vs = cliques[x]
+            p = holder.get(vs[0])
             if p is None or any(holder.get(v) != p for v in vs):
                 return arcs, (m, p, x)
             arcs.add((p, x))
@@ -186,29 +185,29 @@ def build_icd(g: WeightedGraph) -> InterCliqueDigraph:
             vertex_src[v] |= 1 << i
     src_family = set(vertex_src) | {vertex_src[u] & vertex_src[v] for u, v in g.edges}
 
-    def clique_of(smask: int) -> int:
+    # (clique, source set, source mask) per node, each list made once
+    nodes = []
+    for s in src_family:
+        src = tuple(_bits_to_list(s))
         cm = (1 << n) - 1
-        for i in _bits_to_list(smask):
+        for i in src:
             cm &= mc_masks[i]
-        return cm
-
-    node_pairs = sorted(
-        ((clique_of(s), s) for s in src_family), key=_node_sort_key
-    )
-    if len({cm for cm, _ in node_pairs}) != len(node_pairs):
+        nodes.append((tuple(_bits_to_list(cm)), src, s))
+    nodes.sort(key=lambda node: _node_sort_key(node[0]))
+    cliques = [c for c, _, _ in nodes]
+    if len(set(cliques)) != len(nodes):
         raise IcdStructureError("distinct source sets produced equal cliques")
 
-    arcs, witness = _clique_forest(
-        [cm for cm, _ in node_pairs], [s for _, s in node_pairs], mc_masks
-    )
+    src_sets = [src for _, src, _ in nodes]
+    arcs, witness = _clique_forest(cliques, src_sets, mc)
     if witness is not None:
         raise IcdStructureError(
             f"per-maximal-clique family is not an out-tree: {witness}; "
             "input is not (C4, gem)-free"
         )
-    src_index = {s: i for i, (_, s) in enumerate(node_pairs)}
+    src_index = {s: i for i, (_, _, s) in enumerate(nodes)}
     phi = [src_index[s] for s in vertex_src]
-    return _assemble(g, mc, node_pairs, list(arcs), phi)
+    return _assemble(g, mc, cliques, src_sets, list(arcs), phi)
 
 
 def brute_force_icd(
@@ -216,10 +215,10 @@ def brute_force_icd(
 ) -> InterCliqueDigraph:
     """Oracle ICD construction by direct enumeration.
 
-    Collects the distinct nonempty intersections over all subsets of the
-    maximal cliques and takes the cover relation of set containment.  No
-    structural assumption on the input; refuses inputs with more maximal
-    cliques than the budget, which must be positive.
+    Collects the distinct nonempty intersections of the maximal cliques by
+    closing them under pairwise intersection, and takes the cover relation of
+    set containment.  No structural assumption on the input; refuses inputs
+    with more maximal cliques than the budget, which must be positive.
     """
     if max_clique_budget < 1:
         raise ValueError("budget must be positive")
@@ -232,38 +231,23 @@ def brute_force_icd(
         )
     mc_masks = [_mask_of(c) for c in mc]
 
-    distinct: set[int] = set()
-    if k and k <= _SUBSET_DP_LIMIT:
-        # subset DP: drop the lowest clique index, intersect it back in
-        inter = [0] * (1 << k)
-        inter[0] = (1 << n) - 1
-        for mask in range(1, 1 << k):
-            low = mask & -mask
-            inter[mask] = inter[mask ^ low] & mc_masks[low.bit_length() - 1]
-        distinct = set(inter[1:]) - {0}
-    elif k:
-        # pairwise closure reaches the same family without 2^k storage
-        distinct = set(mc_masks)
-        frontier = set(mc_masks)
-        while frontier:
-            fresh: set[int] = set()
-            for a in frontier:
-                for mm in mc_masks:
-                    c = a & mm
-                    if c and c not in distinct:
-                        fresh.add(c)
-            distinct |= fresh
-            frontier = fresh
+    distinct = set(mc_masks)
+    frontier = set(mc_masks)
+    while frontier:
+        fresh: set[int] = set()
+        for a in frontier:
+            for mm in mc_masks:
+                c = a & mm
+                if c and c not in distinct:
+                    fresh.add(c)
+        distinct |= fresh
+        frontier = fresh
 
-    def src_of(cmask: int) -> int:
-        s = 0
-        for i, mm in enumerate(mc_masks):
-            if cmask & mm == cmask:
-                s |= 1 << i
-        return s
-
-    node_pairs = sorted(((cm, src_of(cm)) for cm in distinct), key=_node_sort_key)
-    clique_masks = [cm for cm, _ in node_pairs]
+    cliques = sorted((tuple(_bits_to_list(cm)) for cm in distinct), key=_node_sort_key)
+    clique_masks = [_mask_of(c) for c in cliques]
+    src_sets = [
+        tuple(i for i, mm in enumerate(mc_masks) if cm & mm == cm) for cm in clique_masks
+    ]
 
     greater: list[list[int]] = []
     for j, cj in enumerate(clique_masks):
@@ -296,7 +280,7 @@ def brute_force_icd(
         assert hit, "every vertex lies in some maximal clique"
         phi.append(clique_index[cm])
 
-    return _assemble(g, mc, node_pairs, arcs, phi)
+    return _assemble(g, mc, cliques, src_sets, arcs, phi)
 
 
 # ---------------------------------------------------------------------------
@@ -310,11 +294,7 @@ def check_laminar_out_trees(
     out-tree rooted at M's node, and the arcs must be exactly those trees'
     arcs.  Returns (True, None) or (False, witness): ``_clique_forest``'s, or
     ``(None, p, c)`` for the least arc found on one side only."""
-    arcs, witness = _clique_forest(
-        [_mask_of(c) for c in icd.cliques],
-        [_mask_of(s) for s in icd.src_sets],
-        [_mask_of(c) for c in icd.max_cliques],
-    )
+    arcs, witness = _clique_forest(icd.cliques, icd.src_sets, icd.max_cliques)
     if witness is None and sorted(icd.arcs) != sorted(arcs):
         witness = (None, *min(set(icd.arcs) ^ arcs, default=(None, None)))
     return witness is None, witness

@@ -418,6 +418,18 @@ def icd_equivalent(a: InterCliqueDigraph, b: InterCliqueDigraph) -> bool:
     return wts_a == wts_b
 
 
+def subset_intersections(n: int, max_cliques: Iterable[VertexSet]) -> set[VertexSet]:
+    """The nonempty intersections of every nonempty subset of the maximal
+    cliques, by a DP over all 2^k subsets: drop the lowest clique index and
+    intersect it back in."""
+    masks = [sum(1 << v for v in c) for c in max_cliques]
+    inter = [(1 << n) - 1] + [0] * ((1 << len(masks)) - 1)
+    for sub in range(1, 1 << len(masks)):
+        low = sub & -sub
+        inter[sub] = inter[sub ^ low] & masks[low.bit_length() - 1]
+    return {tuple(_bits_to_list(m)) for m in inter[1:] if m}
+
+
 def close_sources(seeds: list[int]) -> set[int]:
     """Close source masks under nonempty pairwise intersection, intersecting
     only the previous round's new sets with the family (every other pair met

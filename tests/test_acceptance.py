@@ -240,7 +240,7 @@ def test_criterion_4_rounding_structure(fvsp_corpus):
             for j, (u, w) in enumerate(inst.arcs):
                 if not (inst.des_masks[w] >> v) & 1:
                     continue
-                xbar = 1.0 - lp.x_head(j)
+                xbar = 1.0 - lp.x_head[j]
                 y = lp.z[w] - lp.z[u]
                 lo, hi = max(xbar - y, params.alpha), min(xbar, params.beta)
                 if lo <= hi:

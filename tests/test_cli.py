@@ -164,6 +164,10 @@ class TestFvsp:
         code, out, err = run(capsys, "fvsp", path)
         assert (code, out) == (2, "") and err.startswith("error: line 1: 'd x'")
 
+    def test_negative_node_count_exits_2(self, tmp_path, capsys):
+        path = write(tmp_path, "neg.fv", "d -1 0\n")
+        assert run(capsys, "fvsp", path) == (2, "", "error: node count must be nonnegative\n")
+
     def test_invalid_dag_exit_3(self, tmp_path, capsys):
         inst = FvspInstance(4, [(0, 1), (0, 2), (1, 3), (2, 3)], [1.0] * 4)
         path = write(tmp_path, "bad.fv", format_instance(inst))

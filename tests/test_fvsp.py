@@ -21,6 +21,7 @@ from helpers_brute import (
 from ptodel.fixtures import cycle_graph, fixture_graph
 from ptodel.fvsp import (
     DEFAULT_PARAMS,
+    LP_RESIDUAL_TOL,
     FvspFormatError,
     FvspInstance,
     InstanceViolation,
@@ -123,7 +124,7 @@ class TestValidate:
 class TestLpModel:
     def test_variable_and_constraint_counts(self):
         model = build_lp(ST)
-        assert model.n_vars == 12
+        assert len(model.c) == 12
         assert model.a_eq.shape == (4, 12)
         assert model.a_ub.shape == (8, 12)
 
@@ -157,10 +158,27 @@ class TestLpModel:
             for name in ("c", "a_eq", "b_eq", "a_ub", "b_ub"):
                 assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
+    def test_flat_columns_satisfy_the_rows(self):
+        # z per node, x_tail and x_head per arc: each arc's equality row and
+        # each node's capacity row read back from the three columns
+        rng = random.Random(13)
+        for _ in range(40):
+            inst = random_multitree(rng, rng.randint(2, 12))
+            lp = solve_lp(build_lp(inst))
+            assert len(lp.z) == inst.n
+            assert len(lp.x_tail) == len(lp.x_head) == inst.m
+            load = list(lp.z)
+            for j, (u, v) in enumerate(inst.arcs):
+                assert abs(lp.z[v] + lp.x_tail[j] + lp.x_head[j] - 1.0) <= LP_RESIDUAL_TOL
+                load[u] += lp.x_tail[j]
+                load[v] += lp.x_head[j]
+            assert max(load) <= 1.0 + LP_RESIDUAL_TOL
+
     def test_deterministic(self):
         a = solve_lp(build_lp(ST))
         b = solve_lp(build_lp(ST))
-        assert a.z == b.z and a.x == b.x and a.objective == b.objective
+        assert a.z == b.z and a.x_tail == b.x_tail and a.x_head == b.x_head
+        assert a.objective == b.objective
 
 
 class TestRoundAt:
@@ -182,7 +200,8 @@ class TestRoundAt:
         chain = FvspInstance(3, [(0, 1), (1, 2)], [1.0] * 3)
         lp = FvspLpSolution(
             z=(0.0, 0.5, 0.6),
-            x=((0.25, 0.25), (0.2, 0.2)),
+            x_tail=(0.25, 0.2),
+            x_head=(0.25, 0.2),
             objective=1.1,
             max_residual=0.0,
         )
@@ -196,7 +215,8 @@ class TestRoundAt:
         chain = FvspInstance(3, [(0, 1), (1, 2)], [1.0] * 3)
         lp = FvspLpSolution(
             z=(0.0, 0.0, 0.0),
-            x=((0.55, 0.45), (0.5, 0.5)),
+            x_tail=(0.55, 0.5),
+            x_head=(0.45, 0.5),
             objective=0.0,
             max_residual=0.0,
         )
@@ -213,7 +233,7 @@ class TestCandidates:
         # the two ends, the breakpoint, and both midpoints
         inst = FvspInstance(2, [(0, 1)], [1.0, 1.0])
         lp = FvspLpSolution(
-            z=(0.0, 0.0), x=((0.55, 0.45),), objective=0.0, max_residual=0.0
+            z=(0.0, 0.0), x_tail=(0.55,), x_head=(0.45,), objective=0.0, max_residual=0.0
         )
         a, b = DEFAULT_PARAMS.alpha, DEFAULT_PARAMS.beta
         expected = sorted({a, 0.55, b, (a + 0.55) / 2, (0.55 + b) / 2})
@@ -283,7 +303,7 @@ class TestDerandomize:
     def test_forest_weight_zero(self):
         lp = solve_lp(build_lp(FOREST))
         rs = derandomize(FOREST, lp, DEFAULT_PARAMS)
-        assert rs.deleted == frozenset()
+        assert rs.deleted == ()
 
     def test_icd_c5_weight_one(self):
         inst = icd_c5_instance()
@@ -384,7 +404,7 @@ def _deletion_spans(inst, lp, v, params):
     for j, (u, w) in enumerate(inst.arcs):
         if not (inst.des_masks[w] >> v) & 1:
             continue
-        xbar = 1.0 - lp.x_head(j)
+        xbar = 1.0 - lp.x_head[j]
         y = lp.z[w] - lp.z[u]
         lo = max(xbar - y, params.alpha)
         hi = min(xbar, params.beta)

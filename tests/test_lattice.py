@@ -13,6 +13,7 @@ from helpers_brute import (
     icd_cycles,
     icd_equivalent,
     segment_length,
+    subset_intersections,
 )
 from generators import large_clique, random_c4gem_free, random_graph
 from ptodel import lattice
@@ -134,17 +135,17 @@ class TestBruteForceExamples:
             with pytest.raises(ValueError, match="^budget must be positive$"):
                 brute_force_icd(g, max_clique_budget=budget)
 
-    def test_closure_path_matches_subset_dp(self, monkeypatch):
-        # both enumeration strategies must produce the same lattice
-        import ptodel.lattice as lattice_mod
-
+    def test_closure_path_matches_subset_dp(self):
+        # the oracle's pairwise closure reaches the intersection of every
+        # subset of the maximal cliques, and nothing else
         rng = random.Random(3)
         graphs = [graph_from_mask(7, rng.getrandbits(21)) for _ in range(12)]
-        via_dp = [brute_force_icd(g) for g in graphs]
-        monkeypatch.setattr(lattice_mod, "_SUBSET_DP_LIMIT", 0)
-        via_closure = [brute_force_icd(g) for g in graphs]
-        for a, b in zip(via_dp, via_closure):
-            assert icd_equivalent(a, b)
+        graphs += [random_graph(rng, rng.randint(8, 11), 0.5) for _ in range(30)]
+        for g in graphs:
+            mc = maximal_cliques(g)
+            if len(mc) <= 16:
+                icd = brute_force_icd(g)
+                assert set(icd.cliques) == subset_intersections(g.n, mc), g.edges
 
 
 class TestBookkeepingInvariants:

@@ -443,3 +443,37 @@ class TestSolutionCorrespondence:
                 assert g.weight_of(lifted) == pytest.approx(
                     sum(icd.node_weights[x] for x in sel), abs=1e-9
                 )
+
+
+class TestBenchmarkTracer:
+    def test_install_finds_every_name_and_unpatch_restores_it(self):
+        # perfbench/tracer.py wraps module-level names by getattr, so renaming
+        # or dropping one of them breaks the benchmark's traced runs
+        import importlib.util
+        from pathlib import Path
+
+        from ptodel import cli, graphs, lattice
+
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+        spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+        tracer_mod = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracer_mod)
+        modules = (cli, fvsp, graphs, lattice, pipeline)
+        before = [dict(vars(m)) for m in modules]
+        tracer = tracer_mod.Tracer()
+        try:
+            tracer_mod.install(tracer)
+            patched = {
+                (m.__name__, k)
+                for m, old in zip(modules, before)
+                for k, v in vars(m).items()
+                if old[k] is not v
+            }
+            assert ("ptodel.fvsp", "derandomize") in patched
+            assert ("ptodel.fvsp", "round_at") in patched
+        finally:
+            tracer.unpatch()
+        for m, old in zip(modules, before):
+            now = vars(m)
+            assert now.keys() == old.keys()
+            assert [k for k in old if now[k] is not old[k]] == [], m.__name__
