@@ -278,46 +278,42 @@ def all_induced_gems(g: WeightedGraph) -> list[VertexSet]:
 
 
 # ---------------------------------------------------------------------------
-# chordality via lexicographic BFS; hole certificates: the shortest hole in
-# canonical form (see find_hole), one BFS per edge, O(m·(n+m)) in all
-
-
-def lexbfs_order(g: WeightedGraph) -> list[int]:
-    """Lexicographic BFS visit order (ties broken by smallest id)."""
-    labels: list[list[int]] = [[] for _ in range(g.n)]
-    visited = [False] * g.n
-    unvisited = (1 << g.n) - 1
-    order: list[int] = []
-    for step in range(g.n, 0, -1):
-        best = -1
-        for v in range(g.n):
-            if not visited[v] and (best < 0 or labels[v] > labels[best]):
-                best = v
-        visited[best] = True
-        unvisited ^= 1 << best
-        order.append(best)
-        for u in _bits_to_list(g.adj_bits[best] & unvisited):
-            labels[u].append(step)
-    return order
-
-
-def _peo_from_lexbfs(g: WeightedGraph, order: list[int]) -> bool:
-    # Reverse visit order is a perfect elimination ordering iff for each v the
-    # earlier neighbors minus the latest one are all adjacent to that one.
-    pos = {v: i for i, v in enumerate(order)}
-    seen = 0
-    for v in order:
-        earlier = g.adj_bits[v] & seen
-        if earlier:
-            u = max(_bits_to_list(earlier), key=pos.__getitem__)
-            if earlier & ~g.closed_bits(u):
-                return False
-        seen |= 1 << v
-    return True
+# chordality via maximum cardinality search; hole certificates: the shortest
+# hole in canonical form (see find_hole), one BFS per edge, O(m·(n+m)) in all
 
 
 def is_chordal(g: WeightedGraph) -> bool:
-    return _peo_from_lexbfs(g, lexbfs_order(g))
+    """Chordality by maximum cardinality search (Tarjan and Yannakakis 1984).
+
+    Each step visits an unvisited vertex with the most visited neighbours
+    (the smallest id among them).  The graph is chordal iff the reverse
+    visit order is a perfect elimination ordering, that is, iff the
+    neighbours visited before each vertex lie in the closed neighbourhood
+    of the latest of them.
+    """
+    bits = g.adj_bits
+    # buckets[k]: the unvisited vertices with k visited neighbours
+    buckets = [(1 << g.n) - 1] + [0] * g.n
+    count = [0] * g.n
+    latest = [-1] * g.n  # each vertex's most recently visited neighbour
+    seen = top = 0
+    for _ in range(g.n):
+        while not buckets[top]:
+            top -= 1
+        low = buckets[top] & -buckets[top]
+        buckets[top] ^= low
+        v = low.bit_length() - 1
+        u = latest[v]
+        if u >= 0 and bits[v] & seen & ~g.closed_bits(u):
+            return False
+        seen |= low
+        for w in _bits_to_list(bits[v] & ~seen):
+            buckets[count[w]] ^= 1 << w
+            count[w] += 1
+            buckets[count[w]] |= 1 << w
+            latest[w] = v
+            top = max(top, count[w])
+    return True
 
 
 def _shortest_hole(g: WeightedGraph) -> Optional[VertexSet]:

@@ -81,12 +81,8 @@ class InterCliqueDigraph:
             out[p].append(c)
         return tuple(tuple(sorted(cs)) for cs in out)
 
-    @cached_property
-    def underlying_edges(self) -> tuple[tuple[int, int], ...]:
-        return tuple(sorted((min(p, c), max(p, c)) for p, c in self.arcs))
-
     def underlying_is_forest(self) -> bool:
-        return not union_find(self.n_nodes, self.underlying_edges)[1]
+        return not union_find(self.n_nodes, self.arcs)[1]
 
 
 # ---------------------------------------------------------------------------

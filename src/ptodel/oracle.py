@@ -10,9 +10,8 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import time
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Callable, Iterator, Optional
 
 from .fvsp import FvspInstance
 from .graphs import VertexSet, WeightedGraph, is_ptolemaic, _bits_to_list
@@ -26,25 +25,13 @@ class BudgetExceededError(ValueError):
 class OracleBudget:
     max_graph_vertices: int = 14
     max_fvsp_nodes: int = 18
-    time_cap_s: Optional[float] = None
 
     def __post_init__(self):
         if self.max_graph_vertices <= 0 or self.max_fvsp_nodes <= 0:
             raise ValueError("budget bounds must be positive")
-        if self.time_cap_s is not None and self.time_cap_s <= 0:
-            raise ValueError("time cap must be positive")
 
 
 DEFAULT_BUDGET = OracleBudget()
-
-
-class _Deadline:
-    def __init__(self, cap: Optional[float]):
-        self.until = None if cap is None else time.monotonic() + cap
-
-    def check(self) -> None:
-        if self.until is not None and time.monotonic() > self.until:
-            raise BudgetExceededError("oracle time cap exceeded")
 
 
 def _subsets_by_weight(
@@ -97,58 +84,46 @@ def c4_gem_obstructions(g: WeightedGraph) -> list[VertexSet]:
 # exact solvers
 
 
-def exact_ptolemaic_deletion(
-    g: WeightedGraph, budget: OracleBudget = DEFAULT_BUDGET
+def _lightest_hitting_set(
+    g: WeightedGraph,
+    budget: OracleBudget,
+    feasible: Callable[[VertexSet], bool],
 ) -> tuple[float, VertexSet]:
-    """Minimum-weight S with G - S ptolemaic, by weight-ordered subset
-    enumeration.  Ties resolve to the lexicographically smallest set."""
+    """Minimum-weight S meeting every induced C4 and gem with ``feasible(S)``
+    true, by weight-ordered subset enumeration.  Ties resolve to the
+    lexicographically smallest set."""
     if g.n > budget.max_graph_vertices:
         raise BudgetExceededError(
             f"{g.n} vertices exceeds oracle budget {budget.max_graph_vertices}"
         )
-    deadline = _Deadline(budget.time_cap_s)
     obstructions = [sum(1 << v for v in obs) for obs in c4_gem_obstructions(g)]
-
-    def feasible(mask: int, subset: tuple[int, ...]) -> bool:
-        if any(not (mask & ob) for ob in obstructions):
-            return False  # cheap necessary condition
-        remainder, _ = g.delete(subset)
-        return is_ptolemaic(remainder)[0]
-
     best: Optional[tuple[float, VertexSet]] = None
     for total, subset in _subsets_by_weight(g.weights):
-        deadline.check()
         if best is not None and total > best[0] + 1e-9:
             break
         mask = sum(1 << v for v in subset)
-        if feasible(mask, subset):
+        if all(mask & ob for ob in obstructions) and feasible(subset):
             if best is None or (total, subset) < best:
                 best = (total, subset)
     assert best is not None, "deleting everything is always feasible"
     return best
 
 
+def exact_ptolemaic_deletion(
+    g: WeightedGraph, budget: OracleBudget = DEFAULT_BUDGET
+) -> tuple[float, VertexSet]:
+    """Minimum-weight S with G - S ptolemaic.  Meeting every C4 and gem is
+    necessary, so the remainder is checked only for those sets."""
+    return _lightest_hitting_set(
+        g, budget, lambda subset: is_ptolemaic(g.delete(subset)[0])[0]
+    )
+
+
 def exact_c4gem_hitting(
     g: WeightedGraph, budget: OracleBudget = DEFAULT_BUDGET
 ) -> tuple[float, VertexSet]:
     """Minimum-weight vertex set meeting every induced C4 and gem."""
-    if g.n > budget.max_graph_vertices:
-        raise BudgetExceededError(
-            f"{g.n} vertices exceeds oracle budget {budget.max_graph_vertices}"
-        )
-    deadline = _Deadline(budget.time_cap_s)
-    obstructions = [sum(1 << v for v in obs) for obs in c4_gem_obstructions(g)]
-    best: Optional[tuple[float, VertexSet]] = None
-    for total, subset in _subsets_by_weight(g.weights):
-        deadline.check()
-        if best is not None and total > best[0] + 1e-9:
-            break
-        mask = sum(1 << v for v in subset)
-        if all(mask & ob for ob in obstructions):
-            if best is None or (total, subset) < best:
-                best = (total, subset)
-    assert best is not None
-    return best
+    return _lightest_hitting_set(g, budget, lambda subset: True)
 
 
 def _undirected_cycle(
@@ -208,7 +183,6 @@ def exact_fvsp(
         )
     if inst.topo_order is None:
         raise ValueError("oracle needs an acyclic digraph")
-    deadline = _Deadline(budget.time_cap_s)
     und: list[list[int]] = [[] for _ in range(inst.n)]
     for u, v in inst.arcs:
         und[u].append(v)
@@ -225,7 +199,6 @@ def exact_fvsp(
         if del_mask in seen:
             return
         seen.add(del_mask)
-        deadline.check()
         w = weight_of_mask(del_mask)
         if w >= best[0] - 1e-12 and best[1] is not None:
             return

@@ -36,6 +36,26 @@ def random_graph(
     return WeightedGraph(n, edges, w)
 
 
+def random_chordal(rng: random.Random, n: int) -> WeightedGraph:
+    """Random connected chordal graph: each new vertex joins a random clique
+    of the earlier ones that holds a random anchor, so the reverse order is
+    a perfect elimination ordering; ids are then shuffled."""
+    nbrs: list[set[int]] = []
+    edges = []
+    for v in range(n):
+        clique = {rng.randrange(v)} if v else set()
+        for u in rng.sample(range(v), v):
+            if nbrs[u] >= clique and rng.random() < 0.5:
+                clique.add(u)
+        nbrs.append(clique)
+        for u in clique:
+            nbrs[u].add(v)
+        edges += [(u, v) for u in clique]
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return WeightedGraph(n, [(perm[u], perm[v]) for u, v in edges])
+
+
 @lru_cache(maxsize=None)
 def large_clique(k: int) -> WeightedGraph:
     """``complete_graph(k)``, built once per test process: K1100 has 604,450

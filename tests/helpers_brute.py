@@ -507,7 +507,7 @@ def closure(icd: InterCliqueDigraph, seeds: Iterable[int]) -> frozenset[int]:
 def icd_cycles(icd) -> list[list[int]]:
     """All simple undirected cycles of an ICD (small inputs only), each as a
     closed node sequence without the repeated endpoint."""
-    edges = icd.underlying_edges
+    edges = sorted((min(p, c), max(p, c)) for p, c in icd.arcs)
     adj: dict[int, list[int]] = {v: [] for v in range(icd.n_nodes)}
     for a, b in edges:
         adj[a].append(b)

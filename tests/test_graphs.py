@@ -1,12 +1,13 @@
 """Graph recognizers against hand checks and exhaustive brute force."""
 
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from generators import large_clique, random_graph
+from generators import large_clique, random_chordal, random_graph
 from helpers_brute import (
     all_graph_masks,
     c4_scan_brute,
@@ -116,6 +117,16 @@ class TestHoles:
 
     def test_long_cycle_is_its_own_hole(self):
         assert find_hole(cycle_graph(2000)) == tuple(range(2000))
+
+    def test_chordality_at_scale(self):
+        # maximum cardinality search is near-linear: a 6,000-vertex tree is
+        # checked in a few hundredths of a second, not seconds
+        rng = random.Random(5)
+        tree = WeightedGraph(6000, [(rng.randrange(v), v) for v in range(1, 6000)])
+        start = time.perf_counter()
+        assert is_chordal(tree)
+        assert time.perf_counter() - start < 0.5
+        assert find_hole(cycle_graph(4000)) == tuple(range(4000))
 
     def test_diamond_chain_before_the_hole(self):
         # x_0, x_1, ... joined by diamonds {x_i, p_i, q_i, x_i+1}: chordal, with
@@ -233,15 +244,37 @@ class TestAgainstBruteForce:
             assert is_ptolemaic(g)[0] == is_ptolemaic_brute(g)
 
     def test_hole_absence_equals_elimination_ordering_exhaustive(self):
-        for n in range(1, 6):
+        for n in range(7):
             for mask in all_graph_masks(n):
                 g = graph_from_mask(n, mask)
-                assert (find_hole(g) is None) == is_chordal_greedy_simplicial(g)
+                chordal = is_chordal_greedy_simplicial(g)
+                assert is_chordal(g) == chordal, (n, mask)
+                assert (find_hole(g) is None) == chordal, (n, mask)
 
     def test_hole_absence_equals_elimination_ordering_sampled(self):
         for g in _sample_graphs(29, 400, [6, 7]):
             assert (find_hole(g) is None) == is_chordal_greedy_simplicial(g)
             assert is_chordal(g) == is_chordal_greedy_simplicial(g)
+
+    def test_chordality_sampled_up_to_thirteen_vertices(self):
+        # random chordal graphs, the same with one to three edges added
+        # (about half of them then have a hole), and plain random graphs
+        rng = random.Random(37)
+        found = [0, 0]
+        for i in range(7500):
+            n = rng.randint(7, 13)
+            if i % 3 == 2:
+                g = random_graph(rng, n, rng.choice((0.2, 0.35, 0.5, 0.65, 0.8)))
+            else:
+                g = random_chordal(rng, n)
+                if i % 3 == 1:
+                    extra = [rng.sample(range(n), 2) for _ in range(rng.randint(1, 3))]
+                    g = WeightedGraph(n, g.edges + tuple(map(tuple, extra)))
+            chordal = is_chordal_greedy_simplicial(g)
+            assert is_chordal(g) == chordal, g.edges
+            assert (find_hole(g) is None) == chordal, g.edges
+            found[chordal] += 1
+        assert min(found) >= 2000, found
 
     def test_hole_certificates_are_holes(self):
         for g in _sample_graphs(31, 200, [5, 6, 7]):
