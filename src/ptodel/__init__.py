@@ -33,7 +33,6 @@ from .lattice import (
     is_ptolemaic_via_icd,
 )
 from .oracle import (
-    OracleBudget,
     exact_c4gem_hitting,
     exact_fvsp,
     exact_ptolemaic_deletion,
@@ -51,7 +50,6 @@ __all__ = [
     "FvspInstance",
     "FvspSolution",
     "InterCliqueDigraph",
-    "OracleBudget",
     "PipelineResult",
     "RoundingParams",
     "WeightedGraph",

@@ -42,7 +42,8 @@ from .lattice import (
     icd_to_dot,
 )
 from .oracle import (
-    OracleBudget,
+    MAX_FVSP_NODES,
+    MAX_GRAPH_VERTICES,
     exact_c4gem_hitting,
     exact_fvsp,
     exact_ptolemaic_deletion,
@@ -127,18 +128,16 @@ def cmd_fvsp(args: argparse.Namespace) -> int:
 
 def cmd_oracle(args: argparse.Namespace) -> int:
     kind = args.kind
-    if args.budget is None:
-        budget = OracleBudget()
-    elif kind == "fvsp":
-        budget = OracleBudget(max_fvsp_nodes=args.budget)
-    else:
-        budget = OracleBudget(max_graph_vertices=args.budget)
+    if args.budget is not None and args.budget < 1:
+        raise ValueError("budget bounds must be positive")
     if kind == "fvsp":
-        weight, nodes = exact_fvsp(parse_instance(_read(args.input)), budget)
+        inst = parse_instance(_read(args.input))
+        weight, nodes = exact_fvsp(inst, args.budget or MAX_FVSP_NODES)
         _emit({"kind": kind, "weight": weight, "deleted": list(nodes)})
         return EXIT_OK
     solver = exact_ptolemaic_deletion if kind == "pd" else exact_c4gem_hitting
-    weight, vertices = solver(parse_graph(_read(args.input)), budget)
+    g = parse_graph(_read(args.input))
+    weight, vertices = solver(g, args.budget or MAX_GRAPH_VERTICES)
     _emit({"kind": kind, "weight": weight, "deleted": list(vertices)})
     return EXIT_OK
 

@@ -24,8 +24,8 @@ class GraphFormatError(ValueError):
     """Raised when a graph text file cannot be parsed."""
 
 
-class CliqueGuardError(RuntimeError):
-    """Raised when maximal-clique enumeration exceeds its declared guard."""
+class BudgetExceededError(ValueError):
+    """Raised when an input is too large for an exact oracle's size cap."""
 
 
 def vset(vertices: Iterable[int]) -> VertexSet:
@@ -152,7 +152,8 @@ def read_records(
 
     ``tags`` are the header, weight and pair record tags (``pve`` for graphs,
     ``dna`` for FVSP instances): ``<header> <n> <m>``, ``<weight> <id>
-    [<w>]`` with weight 1.0 by default, ``<pair> <u> <v>``.  ``nouns`` name
+    [<w>]`` with weight 1.0 by default, ``<pair> <u> <v>``; a record with
+    more tokens than that is rejected.  ``nouns`` name
     an id and the pairs in messages; every fault, including a ValueError
     from ``build``, is raised as ``error``.
     """
@@ -162,14 +163,16 @@ def read_records(
     pairs: list[tuple[int, int]] = []
     for lineno, raw, parts in _records(text):
         try:
-            if parts[0] == head:
-                if n is not None:
-                    raise error(f"line {lineno}: duplicate header")
-                n, m = int(parts[1]), int(parts[2])
-            elif parts[0] not in (item, pair):
+            if parts[0] not in (head, item, pair):
                 raise error(f"line {lineno}: unknown record {parts[0]!r}")
-            elif n is None:
+            elif parts[0] == head and n is not None:
+                raise error(f"line {lineno}: duplicate header")
+            elif parts[0] != head and n is None:
                 raise error(f"line {lineno}: {parts[0]} before header")
+            elif len(parts) > 3:
+                raise ValueError("more than 3 tokens")
+            elif parts[0] == head:
+                n, m = int(parts[1]), int(parts[2])
             elif parts[0] == item:
                 vid = int(parts[1])
                 w = float(parts[2]) if len(parts) > 2 else 1.0
@@ -411,14 +414,13 @@ def is_ptolemaic(g: WeightedGraph) -> tuple[bool, Optional[VertexSet]]:
 # maximal cliques
 
 
-def maximal_cliques(g: WeightedGraph, *, c4_free: bool = False) -> list[VertexSet]:
+def maximal_cliques(g: WeightedGraph, limit: Optional[int] = None) -> list[VertexSet]:
     """All inclusion-maximal cliques, canonically sorted.
 
-    When the caller declares the graph C4-free, the count is guarded by the
-    n^2 bound; exceeding the guard raises CliqueGuardError (the declaration
-    was wrong).
+    With a ``limit`` the search stops once it holds ``limit + 1`` cliques and
+    returns those, so a caller reads "more than ``limit``" from the length.
     """
-    limit = g.n * g.n + 1 if c4_free else None
+    cap = None if limit is None else limit + 1
     out: list[int] = []
     bits = g.adj_bits
     # Bron-Kerbosch frames (r, p, x, candidates not yet branched on); an
@@ -428,11 +430,8 @@ def maximal_cliques(g: WeightedGraph, *, c4_free: bool = False) -> list[VertexSe
     def enter(r: int, p: int, x: int) -> None:
         if p == 0 and x == 0:
             out.append(r)
-            if limit is not None and len(out) >= limit:
-                raise CliqueGuardError(
-                    f"more than {limit - 1} maximal cliques on {g.n} vertices; "
-                    "input is not C4-free"
-                )
+            if len(out) == cap:
+                stack.clear()  # ends the search
             return
         pivot = max(_bits_to_list(p | x), key=lambda u: (p & bits[u]).bit_count())
         stack.append((r, p, x, p & ~bits[pivot]))

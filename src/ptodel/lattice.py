@@ -26,7 +26,7 @@ from functools import cached_property
 from typing import Optional, Sequence
 
 from .graphs import (
-    CliqueGuardError,
+    BudgetExceededError,
     VertexSet,
     WeightedGraph,
     _bits_to_list,
@@ -43,10 +43,6 @@ ORACLE_CLIQUE_BUDGET = 20
 class IcdStructureError(RuntimeError):
     """Structural guard tripped while building an ICD; the (C4, gem)-free
     precondition was most likely violated."""
-
-
-class BruteForceBudgetError(ValueError):
-    """Input has too many maximal cliques for the brute-force oracle."""
 
 
 @dataclass(frozen=True)
@@ -169,11 +165,12 @@ def build_icd(g: WeightedGraph) -> InterCliqueDigraph:
     n^2 maximal cliques, equal cliques, a family that is not a laminar
     out-tree) raise IcdStructureError; they indicate the precondition failed.
     """
-    try:
-        mc = maximal_cliques(g, c4_free=True)
-    except CliqueGuardError as exc:
-        raise IcdStructureError(str(exc)) from exc
     n = g.n
+    mc = maximal_cliques(g, n * n)
+    if len(mc) > n * n:
+        raise IcdStructureError(
+            f"more than {n * n} maximal cliques on {n} vertices; input is not C4-free"
+        )
     mc_masks = [_mask_of(c) for c in mc]
     vertex_src = [0] * n
     for i, c in enumerate(mc):
@@ -214,16 +211,17 @@ def brute_force_icd(
     Collects the distinct nonempty intersections of the maximal cliques by
     closing them under pairwise intersection, and takes the cover relation of
     set containment.  No structural assumption on the input; refuses inputs
-    with more maximal cliques than the budget, which must be positive.
+    with more maximal cliques than the budget, which must be positive, as
+    soon as the enumeration finds one clique over it.
     """
     if max_clique_budget < 1:
         raise ValueError("budget must be positive")
     n = g.n
-    mc = maximal_cliques(g)
-    k = len(mc)
-    if k > max_clique_budget:
-        raise BruteForceBudgetError(
-            f"{k} maximal cliques exceeds the oracle budget {max_clique_budget}"
+    mc = maximal_cliques(g, max_clique_budget)
+    if len(mc) > max_clique_budget:
+        raise BudgetExceededError(
+            f"more than {max_clique_budget} maximal cliques on {n} vertices "
+            "exceeds the oracle budget"
         )
     mc_masks = [_mask_of(c) for c in mc]
 

@@ -10,28 +10,29 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass
 from typing import Callable, Iterator, Optional
 
 from .fvsp import FvspInstance
-from .graphs import VertexSet, WeightedGraph, is_ptolemaic, _bits_to_list
+from .graphs import (
+    BudgetExceededError,
+    VertexSet,
+    WeightedGraph,
+    _bits_to_list,
+    is_ptolemaic,
+)
+
+# default size caps: graph vertices for the deletion and hitting solvers,
+# FVSP nodes for exact_fvsp
+MAX_GRAPH_VERTICES = 14
+MAX_FVSP_NODES = 18
 
 
-class BudgetExceededError(ValueError):
-    """Instance is too large for the exact solver's budget."""
-
-
-@dataclass(frozen=True)
-class OracleBudget:
-    max_graph_vertices: int = 14
-    max_fvsp_nodes: int = 18
-
-    def __post_init__(self):
-        if self.max_graph_vertices <= 0 or self.max_fvsp_nodes <= 0:
-            raise ValueError("budget bounds must be positive")
-
-
-DEFAULT_BUDGET = OracleBudget()
+def _refuse_over(size: int, budget: int, noun: str) -> None:
+    """Raise unless the budget is positive and ``size`` is within it."""
+    if budget < 1:
+        raise ValueError("budget bounds must be positive")
+    if size > budget:
+        raise BudgetExceededError(f"{size} {noun} exceeds oracle budget {budget}")
 
 
 def _subsets_by_weight(
@@ -86,16 +87,13 @@ def c4_gem_obstructions(g: WeightedGraph) -> list[VertexSet]:
 
 def _lightest_hitting_set(
     g: WeightedGraph,
-    budget: OracleBudget,
+    budget: int,
     feasible: Callable[[VertexSet], bool],
 ) -> tuple[float, VertexSet]:
     """Minimum-weight S meeting every induced C4 and gem with ``feasible(S)``
     true, by weight-ordered subset enumeration.  Ties resolve to the
     lexicographically smallest set."""
-    if g.n > budget.max_graph_vertices:
-        raise BudgetExceededError(
-            f"{g.n} vertices exceeds oracle budget {budget.max_graph_vertices}"
-        )
+    _refuse_over(g.n, budget, "vertices")
     obstructions = [sum(1 << v for v in obs) for obs in c4_gem_obstructions(g)]
     best: Optional[tuple[float, VertexSet]] = None
     for total, subset in _subsets_by_weight(g.weights):
@@ -110,7 +108,7 @@ def _lightest_hitting_set(
 
 
 def exact_ptolemaic_deletion(
-    g: WeightedGraph, budget: OracleBudget = DEFAULT_BUDGET
+    g: WeightedGraph, budget: int = MAX_GRAPH_VERTICES
 ) -> tuple[float, VertexSet]:
     """Minimum-weight S with G - S ptolemaic.  Meeting every C4 and gem is
     necessary, so the remainder is checked only for those sets."""
@@ -120,7 +118,7 @@ def exact_ptolemaic_deletion(
 
 
 def exact_c4gem_hitting(
-    g: WeightedGraph, budget: OracleBudget = DEFAULT_BUDGET
+    g: WeightedGraph, budget: int = MAX_GRAPH_VERTICES
 ) -> tuple[float, VertexSet]:
     """Minimum-weight vertex set meeting every induced C4 and gem."""
     return _lightest_hitting_set(g, budget, lambda subset: True)
@@ -168,19 +166,18 @@ def _undirected_cycle(
 
 
 def exact_fvsp(
-    inst: FvspInstance, budget: OracleBudget = DEFAULT_BUDGET
+    inst: FvspInstance, budget: int = MAX_FVSP_NODES
 ) -> tuple[float, tuple[int, ...]]:
     """Minimum-weight downward-closed set with forest remainder.
 
     Branch and bound over cycle vertices: a remaining cycle must lose some
     vertex together with its descendant closure, so branching on the cycle's
     vertices covers every feasible solution; visited deletion sets are
-    memoized and branches at or above the incumbent weight are cut.
+    memoized and branches at or above the incumbent weight are cut.  The
+    search is depth first from an explicit stack, children in ascending
+    vertex order, because its depth grows with the number of cycles broken.
     """
-    if inst.n > budget.max_fvsp_nodes:
-        raise BudgetExceededError(
-            f"{inst.n} nodes exceeds oracle budget {budget.max_fvsp_nodes}"
-        )
+    _refuse_over(inst.n, budget, "nodes")
     if inst.topo_order is None:
         raise ValueError("oracle needs an acyclic digraph")
     und: list[list[int]] = [[] for _ in range(inst.n)]
@@ -188,30 +185,23 @@ def exact_fvsp(
         und[u].append(v)
         und[v].append(u)
     und = [sorted(ws) for ws in und]
-    full = (1 << inst.n) - 1
-    best: list = [float("inf"), None]
+    best_w, best = float("inf"), None
     seen: set[int] = set()
-
-    def weight_of_mask(mask: int) -> float:
-        return float(sum(inst.weights[v] for v in _bits_to_list(mask)))
-
-    def rec(del_mask: int) -> None:
+    stack = [0]
+    while stack:
+        del_mask = stack.pop()
         if del_mask in seen:
-            return
+            continue
         seen.add(del_mask)
-        w = weight_of_mask(del_mask)
-        if w >= best[0] - 1e-12 and best[1] is not None:
-            return
+        w = float(sum(inst.weights[v] for v in _bits_to_list(del_mask)))
+        if w >= best_w - 1e-12 and best is not None:
+            continue
         remaining = [v for v in range(inst.n) if not (del_mask >> v) & 1]
         cycle = _undirected_cycle(und, remaining)
         if cycle is None:
-            if w < best[0]:
-                best[0] = w
-                best[1] = del_mask
-            return
-        for v in sorted(cycle):
-            rec(del_mask | inst.des_masks[v])
-
-    rec(0)
-    assert best[1] is not None
-    return float(best[0]), tuple(_bits_to_list(best[1]))
+            if w < best_w:
+                best_w, best = w, del_mask
+            continue
+        stack.extend(del_mask | inst.des_masks[v] for v in sorted(cycle, reverse=True))
+    assert best is not None
+    return best_w, tuple(_bits_to_list(best))

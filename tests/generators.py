@@ -63,6 +63,15 @@ def large_clique(k: int) -> WeightedGraph:
     return complete_graph(k)
 
 
+def complete_multipartite(parts: int, size: int) -> WeightedGraph:
+    """K(size, ..., size) with ``parts`` parts: ``size ** parts`` maximal
+    cliques on ``parts * size`` vertices (Moon and Moser 1965 for size 3)."""
+    n = parts * size
+    return WeightedGraph(
+        n, [(u, v) for u in range(n) for v in range(u + 1, n) if u // size != v // size]
+    )
+
+
 def random_c4gem_free(
     rng: random.Random,
     n: int,

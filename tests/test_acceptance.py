@@ -44,7 +44,6 @@ from ptodel.lattice import (
     is_ptolemaic_via_icd,
 )
 from ptodel.oracle import (
-    OracleBudget,
     exact_c4gem_hitting,
     exact_fvsp,
     exact_ptolemaic_deletion,
@@ -290,14 +289,13 @@ def test_criterion_4_rounding_structure(fvsp_corpus):
 
 
 def test_criterion_5_fvsp_ratio(fvsp_corpus):
-    budget = OracleBudget(max_fvsp_nodes=18)
     n_checked = 0
     failures = []
     for inst in fvsp_corpus:
         if inst.n == 0 or inst.n > 18 or validate_instance(inst) is not None:
             continue
         sol = solve_fvsp(inst)
-        opt_w, _ = exact_fvsp(inst, budget)
+        opt_w, _ = exact_fvsp(inst, 18)
         n_checked += 1
         if not (opt_w - 1e-9 <= sol.weight <= 63 * opt_w + 1e-9):
             failures.append(("ratio", inst.arcs, sol.weight, opt_w))
@@ -313,7 +311,6 @@ def test_criterion_5_fvsp_ratio(fvsp_corpus):
 
 
 def test_criterion_6_end_to_end_ratio(weighted_corpus):
-    budget = OracleBudget(max_graph_vertices=10)
     failures = []
     n_checked = 0
     for g in weighted_corpus:
@@ -322,7 +319,7 @@ def test_criterion_6_end_to_end_ratio(weighted_corpus):
         if not is_ptolemaic(remainder)[0] or not is_ptolemaic_via_icd(remainder):
             failures.append(("unverified", g.edges))
             continue
-        opt_w, _ = exact_ptolemaic_deletion(g, budget)
+        opt_w, _ = exact_ptolemaic_deletion(g, 10)
         n_checked += 1
         if not (opt_w - 1e-9 <= res.weight <= 68 * opt_w + 1e-6):
             failures.append(("ratio", g.edges, res.weight, opt_w))

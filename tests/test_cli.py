@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from generators import random_graph
+from generators import complete_multipartite, random_graph
 from ptodel.cli import build_parser, main
 from ptodel.fixtures import cycle_graph, fixture_graph, path_graph
 from ptodel.graphs import format_graph, parse_graph
@@ -127,7 +127,19 @@ class TestIcd:
         if budget == "0":
             assert err == "error: budget must be positive\n"
         else:
-            assert err == f"error: 5 maximal cliques exceeds the oracle budget {budget}\n"
+            assert err == (
+                "error: more than 1 maximal cliques on 5 vertices exceeds the oracle budget\n"
+            )
+
+    def test_oracle_refuses_before_it_enumerates(self, tmp_path, capsys):
+        # K(3,...,3) on 60 vertices has 3^20 maximal cliques: listing them
+        # all would not fit in memory
+        path = write(tmp_path, "k3x20.gr", format_graph(complete_multipartite(20, 3)))
+        assert run(capsys, "icd", path, "--oracle") == (
+            2,
+            "",
+            "error: more than 20 maximal cliques on 60 vertices exceeds the oracle budget\n",
+        )
 
     @pytest.mark.parametrize("budget", ["0", "-3"])
     def test_oracle_budget_must_be_positive_on_empty_graph(self, tmp_path, capsys, budget):
@@ -317,6 +329,30 @@ class TestGen:
         )
         g = parse_graph(out)
         assert code == 0 and any(w != 1.0 for w in g.weights)
+
+
+@pytest.mark.parametrize(
+    "command, text, line",
+    [
+        ("solve", "p 3 2 9\ne 0 1\ne 1 2\n", 1),
+        ("solve", "p 2 1\nv 0 2.5 junk\ne 0 1\n", 2),
+        ("solve", "p 2 1\ne 0 1 7\n", 2),
+        ("fvsp", "d 2 1 9\na 0 1\n", 1),
+        ("fvsp", "d 2 1\nn 0 2.5 junk\na 0 1\n", 2),
+        ("fvsp", "d 2 1\na 0 1 7\n", 2),
+    ],
+)
+def test_trailing_tokens_exit_2(tmp_path, capsys, command, text, line):
+    raw = text.splitlines()[line - 1]
+    path = write(tmp_path, "in.txt", text)
+    assert run(capsys, command, path) == (
+        2,
+        "",
+        f"error: line {line}: {raw!r}: more than 3 tokens\n",
+    )
+    # the same file without the extra token is read
+    path = write(tmp_path, "ok.txt", text.replace(raw, " ".join(raw.split()[:3])))
+    assert run(capsys, command, path)[0] == 0
 
 
 class TestOptions:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from generators import large_clique, random_chordal, random_graph
+from generators import complete_multipartite, large_clique, random_chordal, random_graph
 from helpers_brute import (
     all_graph_masks,
     c4_scan_brute,
@@ -24,7 +24,6 @@ from helpers_brute import (
 from ptodel import graphs
 from ptodel.fixtures import complete_graph, cycle_graph, fixture_graph, path_graph
 from ptodel.graphs import (
-    CliqueGuardError,
     GraphFormatError,
     WeightedGraph,
     all_induced_c4,
@@ -187,15 +186,13 @@ class TestMaximalCliques:
     def test_guard_fires(self):
         # the complete 5-partite graph K(3,3,3,3,3) has 3^5 = 243 maximal
         # cliques on 15 vertices, over the n^2 = 225 a C4-free graph allows
-        g = WeightedGraph(
-            15, [(u, v) for u in range(15) for v in range(u + 1, 15) if u // 3 != v // 3]
-        )
-        assert len(maximal_cliques(g)) == 243
-        with pytest.raises(
-            CliqueGuardError,
-            match=r"^more than 225 maximal cliques on 15 vertices; input is not C4-free$",
-        ):
-            maximal_cliques(g, c4_free=True)
+        g = complete_multipartite(5, 3)
+        full = maximal_cliques(g)
+        assert len(full) == 243
+        capped = maximal_cliques(g, 225)
+        assert len(capped) == 226 and capped == sorted(set(capped))
+        assert set(capped) <= set(full)
+        assert maximal_cliques(g, 243) == full
 
     def test_large_clique_without_recursion(self):
         # the search goes one level deeper per clique vertex, past Python's
@@ -220,7 +217,23 @@ class TestMaximalCliques:
             g = graph_from_mask(n, rng.getrandbits(n * (n - 1) // 2))
             if find_induced_c4(g) is None:
                 checked += 1
-                assert len(maximal_cliques(g, c4_free=True)) <= n * n
+                assert maximal_cliques(g, n * n) == maximal_cliques(g)
+                assert len(maximal_cliques(g)) <= n * n
+
+    def test_limit_keeps_a_prefix_of_the_search(self):
+        # at or above the count the list is whole; below it, the search
+        # stops at limit + 1 distinct maximal cliques
+        rng = random.Random(13)
+        for _ in range(60):
+            g = random_graph(rng, rng.randint(1, 12), rng.choice((0.3, 0.6, 0.8)))
+            full = maximal_cliques(g)
+            for limit in range(len(full) + 3):
+                capped = maximal_cliques(g, limit)
+                if limit >= len(full):
+                    assert capped == full
+                else:
+                    assert len(capped) == limit + 1 == len(set(capped))
+                    assert capped == sorted(capped) and set(capped) <= set(full)
 
 
 def _sample_graphs(seed, count, sizes):

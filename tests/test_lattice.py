@@ -15,11 +15,12 @@ from helpers_brute import (
     segment_length,
     subset_intersections,
 )
-from generators import large_clique, random_c4gem_free, random_graph
+from generators import complete_multipartite, large_clique, random_c4gem_free, random_graph
 from ptodel import lattice
 from ptodel.fixtures import complete_graph, cycle_graph, fixture_graph, path_graph
 from ptodel.fvsp import FvspInstance, validate_instance
 from ptodel.graphs import (
+    BudgetExceededError,
     WeightedGraph,
     _mask_of,
     find_hole,
@@ -29,7 +30,6 @@ from ptodel.graphs import (
     maximal_cliques,
 )
 from ptodel.lattice import (
-    BruteForceBudgetError,
     IcdStructureError,
     InterCliqueDigraph,
     brute_force_icd,
@@ -125,8 +125,29 @@ class TestBruteForceExamples:
         assert not icd.underlying_is_forest()
 
     def test_budget(self):
-        with pytest.raises(BruteForceBudgetError):
+        with pytest.raises(
+            BudgetExceededError,
+            match="^more than 3 maximal cliques on 5 vertices exceeds the oracle budget$",
+        ):
             brute_force_icd(cycle_graph(5), max_clique_budget=3)
+        assert brute_force_icd(cycle_graph(5), max_clique_budget=5).n_nodes == 10
+
+    def test_budget_stops_the_enumeration(self, monkeypatch):
+        # K(3,...,3) on 36 vertices has 3^12 maximal cliques; the search
+        # asked for them stops at the 21st
+        g = complete_multipartite(12, 3)
+        counts = []
+        real = lattice.maximal_cliques
+
+        def counted(g, limit=None):
+            out = real(g, limit)
+            counts.append(len(out))
+            return out
+
+        monkeypatch.setattr(lattice, "maximal_cliques", counted)
+        with pytest.raises(BudgetExceededError):
+            brute_force_icd(g)
+        assert counts == [21]
 
     @pytest.mark.parametrize("budget", [0, -3])
     def test_budget_must_be_positive(self, budget):
@@ -232,7 +253,7 @@ class TestOracleEquivalence:
             g = graph_from_mask(n, rng.getrandbits(n * (n - 1) // 2))
             try:
                 oracle = brute_force_icd(g)
-            except BruteForceBudgetError:
+            except BudgetExceededError:
                 continue
             seeds = [_mask_of(oracle.src_sets[x]) for x in oracle.phi]
             family = close_sources(seeds)
@@ -494,13 +515,15 @@ class TestPtolemaicViaIcd:
         calls = []
         real = lattice.maximal_cliques
         monkeypatch.setattr(
-            lattice, "maximal_cliques", lambda g, **kw: calls.append(kw) or real(g, **kw)
+            lattice,
+            "maximal_cliques",
+            lambda g, limit=None: calls.append((g.n, limit)) or real(g, limit),
         )
         monkeypatch.setattr(lattice, "brute_force_icd", None)
         assert is_ptolemaic_via_icd(path_graph(3))  # 2 maximal cliques
         assert is_ptolemaic_via_icd(path_graph(30))  # 29
         assert not is_ptolemaic_via_icd(cycle_graph(30))  # 30, and a hole
-        assert calls == [{"c4_free": True}] * 3
+        assert calls == [(3, 9), (30, 900), (30, 900)]
 
     def test_clique_guard_is_false_where_build_icd_raises(self):
         # a perfect matching's complement on 20 vertices: 2^10 > 20^2 cliques
@@ -510,7 +533,9 @@ class TestPtolemaicViaIcd:
         assert is_ptolemaic_via_icd(g) is False
         with pytest.raises(IcdStructureError) as direct:
             build_icd(g)
-        assert str(direct.value).startswith("more than 400 maximal cliques on 20")
+        assert str(direct.value) == (
+            "more than 400 maximal cliques on 20 vertices; input is not C4-free"
+        )
 
     def test_agrees_with_obstruction_scan(self):
         rng = random.Random(27)

@@ -1,18 +1,20 @@
 """Exact solvers: frozen small cases, feasibility, and sanity properties."""
 
+import inspect
 import random
+import sys
 
 import pytest
 
 from generators import random_graph, random_multitree
 from helpers_brute import exact_fvsp_by_ideals
+from ptodel import graphs
 from ptodel.fixtures import cycle_graph, fixture_graph, path_graph
 from ptodel.fvsp import FvspInstance, verify_fvsp_solution
 from ptodel.graphs import WeightedGraph, is_ptolemaic
 from ptodel.lattice import build_icd
 from ptodel.oracle import (
     BudgetExceededError,
-    OracleBudget,
     _subsets_by_weight,
     c4_gem_obstructions,
     exact_c4gem_hitting,
@@ -64,8 +66,12 @@ class TestExactPtolemaicDeletion:
         assert exact_c4gem_hitting(h) == (1.0, (1,))
 
     def test_budget(self):
-        with pytest.raises(BudgetExceededError):
-            exact_ptolemaic_deletion(path_graph(5), OracleBudget(max_graph_vertices=4))
+        assert BudgetExceededError is graphs.BudgetExceededError
+        with pytest.raises(BudgetExceededError, match="^5 vertices exceeds oracle budget 4$"):
+            exact_ptolemaic_deletion(path_graph(5), 4)
+        with pytest.raises(BudgetExceededError, match="^5 vertices exceeds oracle budget 4$"):
+            exact_c4gem_hitting(path_graph(5), 4)
+        assert exact_ptolemaic_deletion(path_graph(5), 5) == (0.0, ())
 
     def test_outputs_feasible(self):
         rng = random.Random(51)
@@ -92,8 +98,24 @@ class TestExactFvsp:
         assert len(sel) == 1 and len(icd.cliques[sel[0]]) == 1
 
     def test_budget(self):
-        with pytest.raises(BudgetExceededError):
-            exact_fvsp(ST, OracleBudget(max_fvsp_nodes=2))
+        with pytest.raises(BudgetExceededError, match="^4 nodes exceeds oracle budget 2$"):
+            exact_fvsp(ST, 2)
+        assert exact_fvsp(ST, 4)[0] == 1.0
+
+    def test_many_cycles_without_recursion(self):
+        # 300 disjoint diamonds (sinks 4i, 4i+1 under sources 4i+2, 4i+3):
+        # the search breaks one cycle per level, deleting a free sink
+        k = 300
+        arcs = [(4 * i + s, 4 * i + t) for i in range(k) for s in (2, 3) for t in (0, 1)]
+        weights = [0.0, 0.0, 1.0, 1.0] * k
+        inst = FvspInstance(4 * k, arcs, weights)
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(inspect.stack(0)) + 100)
+        try:
+            weight, sel = exact_fvsp(inst, 4 * k)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert (weight, sel) == (0.0, tuple(4 * i for i in range(k)))
 
     def test_against_ideal_scan(self):
         rng = random.Random(53)
@@ -130,8 +152,15 @@ class TestExactHitting:
 
 class TestBudgetsAndMonotonicity:
     def test_budget_validation(self):
-        with pytest.raises(ValueError):
-            OracleBudget(max_graph_vertices=0)
+        # checked before the size: the empty input is within any cap
+        for solve, inst in (
+            (exact_ptolemaic_deletion, WeightedGraph(0, [])),
+            (exact_c4gem_hitting, WeightedGraph(0, [])),
+            (exact_fvsp, FvspInstance(0, [], [])),
+        ):
+            for budget in (0, -3):
+                with pytest.raises(ValueError, match="^budget bounds must be positive$"):
+                    solve(inst, budget)
 
     def test_zero_weight_vertex_never_hurts(self):
         rng = random.Random(59)
