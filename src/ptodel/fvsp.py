@@ -7,10 +7,14 @@ removal leaves an undirected forest; this module computes one of weight at
 most 63 times the optimum.
 
 The solver relaxes the problem to a linear program with a deletion variable
-z_v per node and a pair of orientation variables per arc, then derandomizes a
-threshold rounding: candidate thresholds are the arc breakpoints inside
-[alpha, beta] plus midpoints, every candidate is rounded and cleaned up, and
-the cheapest outcome wins.  After rounding, each remaining component contains
+z_v per node and a pair of orientation variables per arc.  Any optimum will
+do, so the LP is solved only on the instance's kernel: nodes with at most one
+neighbour are peeled down to the 2-core, and kernel sources get no z column.
+The kernel optimum lifts back exactly to an optimum of the full LP, which is
+checked row by row.  The solver then derandomizes a threshold rounding:
+candidate thresholds are the arc breakpoints inside [alpha, beta] plus
+midpoints, every candidate is rounded and cleaned up, and the cheapest
+outcome wins.  After rounding, each remaining component contains
 at most one cycle, which the cleanup stage breaks optimally.
 """
 
@@ -221,12 +225,46 @@ DEFAULT_PARAMS = RoundingParams()
 # LP model
 
 
+def _peel(inst: FvspInstance) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...]]:
+    """Remove nodes with at most one live neighbour in the underlying graph
+    until none is left; the nodes that stay form the 2-core.  Returns the
+    indices of the arcs inside the core and, in peel order, each removed node
+    that still had a live neighbour, with the arc to it (its link).  Every
+    arc outside the core is the link of exactly one removed node."""
+    inc: list[list[int]] = [[] for _ in range(inst.n)]
+    for j, (u, v) in enumerate(inst.arcs):
+        inc[u].append(j)
+        inc[v].append(j)
+    deg = [len(js) for js in inc]
+    alive = [True] * inst.n
+    stack = [v for v in reversed(range(inst.n)) if deg[v] <= 1]
+    peeled: list[tuple[int, int]] = []
+    while stack:  # each node is pushed once, when its degree first is <= 1
+        p = stack.pop()
+        alive[p] = False
+        for j in inc[p]:
+            q = sum(inst.arcs[j]) - p
+            if alive[q]:  # at most one neighbour is still alive
+                peeled.append((p, j))
+                deg[q] -= 1
+                if deg[q] == 1:
+                    stack.append(q)
+                break
+    core = tuple(j for j, (u, v) in enumerate(inst.arcs) if alive[u] and alive[v])
+    return core, tuple(peeled)
+
+
 @dataclass(frozen=True)
 class LpModel:
-    """Column layout: z_0..z_{n-1}, then x_tail, x_head of each arc j in turn
-    (columns n + 2j and n + 2j + 1)."""
+    """The LP over the instance's kernel.  Column layout: z of each node in
+    ``z_nodes`` in turn, then x_tail, x_head of each arc in ``kernel_arcs``
+    (arc indices into ``inst.arcs``) in turn.  ``peeled`` lists removed
+    nodes in peel order with their link arcs, as ``_peel`` returns them."""
 
     inst: FvspInstance
+    z_nodes: np.ndarray
+    kernel_arcs: np.ndarray
+    peeled: tuple[tuple[int, int], ...]
     c: np.ndarray
     a_eq: np.ndarray
     b_eq: np.ndarray
@@ -235,33 +273,61 @@ class LpModel:
 
 
 def build_lp(inst: FvspInstance) -> LpModel:
-    """LP relaxation: per arc e=(u,v) an equality z_v + x_ue + x_ve = 1, per
-    node a capacity z_v + sum of its incident x_ve <= 1, per arc the
-    precedence z_u <= z_v, everything boxed to [0, 1]."""
-    n, m = inst.n, inst.m
-    nv = n + 2 * m
-    c = np.zeros(nv)
-    c[:n] = inst.weights
-    arcs = np.array(inst.arcs, dtype=np.intp).reshape(m, 2)
+    """LP relaxation over the kernel.  The full LP has per arc e=(u,v) an
+    equality z_v + x_ue + x_ve = 1, per node a capacity z_v + sum of its
+    incident x_ve <= 1, per arc the precedence z_u <= z_v, everything boxed
+    to [0, 1].  Two reductions keep its optimum value:
+
+    - pendant nodes are peeled down to the 2-core; a pendant head's weight
+      moves to its neighbour, because z_p >= z_q on every feasible point and
+      z_p = z_q lifts back (see ``solve_lp``);
+    - a kernel node with no kernel in-arc (a source) gets no z column: its z
+      is the head of no equality row and has coefficient +1 in each
+      inequality and in the objective, so z = 0 loses nothing.  Its
+      precedence rows go with the column.
+    """
+    core, peeled = _peel(inst)
+    weight = list(inst.weights)
+    for p, j in peeled:  # p's own pendant heads were moved onto it already
+        if inst.arcs[j][1] == p:
+            weight[inst.arcs[j][0]] += weight[p]
+    kernel_arcs = np.array(core, dtype=np.intp)
+    arcs = np.array(inst.arcs, dtype=np.intp).reshape(inst.m, 2)[kernel_arcs]
     tails, heads = arcs[:, 0], arcs[:, 1]
+    kernel_nodes = np.unique(arcs)
+    z_nodes = np.unique(heads)
+    row = np.full(inst.n, -1, dtype=np.intp)
+    row[kernel_nodes] = np.arange(len(kernel_nodes))
+    col = np.full(inst.n, -1, dtype=np.intp)
+    col[z_nodes] = np.arange(len(z_nodes))
+    k, m = len(z_nodes), len(core)
+    nv = k + 2 * m
+    c = np.zeros(nv)
+    c[:k] = np.array(weight)[z_nodes]
     j = np.arange(m)
-    x_tail, x_head = n + 2 * j, n + 2 * j + 1
+    x_tail, x_head = k + 2 * j, k + 2 * j + 1
     a_eq = np.zeros((m, nv))
     b_eq = np.ones(m)
-    a_eq[j, heads] = 1.0
+    a_eq[j, col[heads]] = 1.0
     a_eq[j, x_tail] = 1.0
     a_eq[j, x_head] = 1.0
-    a_ub = np.zeros((n + m, nv))
-    b_ub = np.ones(n + m)
+    prec = np.flatnonzero(col[tails] >= 0)  # arcs whose tail has a z column
+    nk = len(kernel_nodes)
+    a_ub = np.zeros((nk + len(prec), nv))
+    b_ub = np.ones(nk + len(prec))
     # every x column belongs to one arc, so no cell below is written twice
-    a_ub[tails, x_tail] = 1.0
-    a_ub[heads, x_head] = 1.0
+    a_ub[row[tails], x_tail] = 1.0
+    a_ub[row[heads], x_head] = 1.0
+    a_ub[row[z_nodes], np.arange(k)] = 1.0
     # precedence rows: z_u - z_v <= 0
-    a_ub[n + j, tails] = 1.0
-    a_ub[n + j, heads] = -1.0
-    b_ub[n:] = 0.0
-    a_ub[np.arange(n), np.arange(n)] = 1.0
-    return LpModel(inst=inst, c=c, a_eq=a_eq, b_eq=b_eq, a_ub=a_ub, b_ub=b_ub)
+    r = nk + np.arange(len(prec))
+    a_ub[r, col[tails[prec]]] = 1.0
+    a_ub[r, col[heads[prec]]] = -1.0
+    b_ub[nk:] = 0.0
+    return LpModel(
+        inst=inst, z_nodes=z_nodes, kernel_arcs=kernel_arcs, peeled=peeled,
+        c=c, a_eq=a_eq, b_eq=b_eq, a_ub=a_ub, b_ub=b_ub,
+    )
 
 
 @dataclass(frozen=True)
@@ -277,37 +343,66 @@ class FvspLpSolution:
 
 
 def solve_lp(model: LpModel) -> FvspLpSolution:
-    """Solve to optimality with the HiGHS backend; deterministic for a fixed
-    model.  Raises LpSolveError on solver failure or residuals above 1e-8
+    """Solve the kernel LP to optimality with the HiGHS backend
+    (deterministic for a fixed model; no solve when the kernel has no arcs)
+    and lift the optimum to an optimum of the full LP.  Source z columns
+    are 0.  Peeled nodes are lifted in reverse peel order, each against its
+    link arc's other end q, which is settled by then:
+
+    - pendant tail p (arc p->q): z_p = 0, x_tail = 1 - z_q, x_head = 0;
+    - pendant head p (arc q->p): z_p = z_q, x_tail = 0, x_head = 1 - z_q.
+
+    A node removed without a live neighbour keeps z = 0.
+
+    Raises LpSolveError on solver failure or a full-LP residual above 1e-8
     (the instance itself is always feasible: all-z=1 works)."""
-    n = model.inst.n
-    if n == 0:
-        return FvspLpSolution((), (), (), objective=0.0, max_residual=0.0)
-    res = linprog(
-        model.c,
-        A_ub=model.a_ub if len(model.a_ub) else None,
-        b_ub=model.b_ub if len(model.b_ub) else None,
-        A_eq=model.a_eq if len(model.a_eq) else None,
-        b_eq=model.b_eq if len(model.b_eq) else None,
-        bounds=(0.0, 1.0),
-        method="highs",
+    inst = model.inst
+    n, m, k = inst.n, inst.m, len(model.z_nodes)
+    z, x_tail, x_head = np.zeros(n), np.zeros(m), np.zeros(m)
+    objective = 0.0
+    if len(model.kernel_arcs):
+        res = linprog(
+            model.c,
+            A_ub=model.a_ub,
+            b_ub=model.b_ub,
+            A_eq=model.a_eq,
+            b_eq=model.b_eq,
+            bounds=(0.0, 1.0),
+            method="highs",
+        )
+        if not res.success:
+            raise LpSolveError(f"LP solve failed: {res.message}")
+        z[model.z_nodes] = res.x[:k]
+        x_tail[model.kernel_arcs] = res.x[k::2]
+        x_head[model.kernel_arcs] = res.x[k + 1 :: 2]
+        objective = float(res.fun)
+    zs, xts, xhs = z.tolist(), x_tail.tolist(), x_head.tolist()
+    for p, j in reversed(model.peeled):
+        u, v = inst.arcs[j]
+        if p == u:
+            xts[j] = 1.0 - zs[v]
+        else:
+            zs[p] = zs[u]
+            xhs[j] = 1.0 - zs[u]
+    z, x_tail, x_head = np.array(zs), np.array(xts), np.array(xhs)
+    # residual of every row of the full LP, then of the bounds
+    arcs = np.array(inst.arcs, dtype=np.intp).reshape(m, 2)
+    tails, heads = arcs[:, 0], arcs[:, 1]
+    load = z + np.bincount(tails, x_tail, n) + np.bincount(heads, x_head, n)
+    values = np.concatenate([z, x_tail, x_head])
+    resid = max(
+        float(np.max(np.abs(z[heads] + x_tail + x_head - 1.0), initial=0.0)),
+        float(np.max(z[tails] - z[heads], initial=0.0)),
+        float(np.max(load - 1.0, initial=0.0)),
+        float(np.max(np.abs(values - 0.5) - 0.5, initial=0.0)),
     )
-    if not res.success:
-        raise LpSolveError(f"LP solve failed: {res.message}")
-    sol = np.clip(res.x, 0.0, 1.0)
-    resid = 0.0
-    if len(model.a_eq):
-        resid = max(resid, float(np.max(np.abs(model.a_eq @ res.x - model.b_eq))))
-    if len(model.a_ub):
-        resid = max(resid, float(np.max(model.a_ub @ res.x - model.b_ub)))
-    resid = max(resid, float(np.max(-res.x)), float(np.max(res.x - 1.0)))
     if resid > LP_RESIDUAL_TOL:
         raise LpSolveError(f"LP residual {resid:.3e} exceeds {LP_RESIDUAL_TOL:.0e}")
     return FvspLpSolution(
-        z=tuple(sol[:n].tolist()),
-        x_tail=tuple(sol[n::2].tolist()),
-        x_head=tuple(sol[n + 1 :: 2].tolist()),
-        objective=float(res.fun),
+        z=tuple(np.clip(z, 0.0, 1.0).tolist()),
+        x_tail=tuple(np.clip(x_tail, 0.0, 1.0).tolist()),
+        x_head=tuple(np.clip(x_head, 0.0, 1.0).tolist()),
+        objective=objective,
         max_residual=resid,
     )
 
@@ -487,13 +582,18 @@ class FvspSolution:
 def derandomize(
     inst: FvspInstance, lp: FvspLpSolution, params: RoundingParams
 ) -> FvspSolution:
-    """Evaluate rounding plus cleanup at every candidate threshold; return
-    the outcome of minimum weight (ties: lexicographically smallest deleted
-    set, then smallest theta)."""
+    """Evaluate rounding plus cleanup at every candidate threshold, cleaning
+    up once per distinct rounded set; return the outcome of minimum weight
+    (ties: lexicographically smallest deleted set, then smallest theta)."""
     best = None
     all_nodes = set(range(inst.n))
+    seen: set[frozenset[int]] = set()
     for theta in theta_candidates(inst, lp, params):
         outcome = round_at(inst, lp, params, theta)
+        if outcome.deleted in seen:
+            # same cleanup, same key but a larger theta: it cannot win
+            continue
+        seen.add(outcome.deleted)
         extra = cleanup_unicyclic(inst, all_nodes - outcome.deleted)
         total = tuple(sorted(outcome.deleted | extra))
         key = (inst.weight_of(total), total, theta)

@@ -19,6 +19,7 @@ from .graphs import (
     WeightedGraph,
     _bits_to_list,
     is_ptolemaic,
+    union_find,
 )
 
 # default size caps: graph vertices for the deletion and hitting solvers,
@@ -165,26 +166,10 @@ def _undirected_cycle(
     return None
 
 
-def exact_fvsp(
-    inst: FvspInstance, budget: int = MAX_FVSP_NODES
-) -> tuple[float, tuple[int, ...]]:
-    """Minimum-weight downward-closed set with forest remainder.
-
-    Branch and bound over cycle vertices: a remaining cycle must lose some
-    vertex together with its descendant closure, so branching on the cycle's
-    vertices covers every feasible solution; visited deletion sets are
-    memoized and branches at or above the incumbent weight are cut.  The
-    search is depth first from an explicit stack, children in ascending
-    vertex order, because its depth grows with the number of cycles broken.
-    """
-    _refuse_over(inst.n, budget, "nodes")
-    if inst.topo_order is None:
-        raise ValueError("oracle needs an acyclic digraph")
-    und: list[list[int]] = [[] for _ in range(inst.n)]
-    for u, v in inst.arcs:
-        und[u].append(v)
-        und[v].append(u)
-    und = [sorted(ws) for ws in und]
+def _exact_fvsp_component(
+    inst: FvspInstance, und: list[list[int]], nodes: list[int]
+) -> int:
+    """The optimal deletion mask within one weakly connected component."""
     best_w, best = float("inf"), None
     seen: set[int] = set()
     stack = [0]
@@ -196,7 +181,7 @@ def exact_fvsp(
         w = float(sum(inst.weights[v] for v in _bits_to_list(del_mask)))
         if w >= best_w - 1e-12 and best is not None:
             continue
-        remaining = [v for v in range(inst.n) if not (del_mask >> v) & 1]
+        remaining = [v for v in nodes if not (del_mask >> v) & 1]
         cycle = _undirected_cycle(und, remaining)
         if cycle is None:
             if w < best_w:
@@ -204,4 +189,40 @@ def exact_fvsp(
             continue
         stack.extend(del_mask | inst.des_masks[v] for v in sorted(cycle, reverse=True))
     assert best is not None
-    return best_w, tuple(_bits_to_list(best))
+    return best
+
+
+def exact_fvsp(
+    inst: FvspInstance, budget: int = MAX_FVSP_NODES
+) -> tuple[float, tuple[int, ...]]:
+    """Minimum-weight downward-closed set with forest remainder.
+
+    A node's descendants lie in its weakly connected component, so the
+    optimum is the union of the components' optima, and each component that
+    holds a cycle is searched on its own.  The search is branch and bound
+    over cycle vertices: a remaining cycle must lose some vertex together
+    with its descendant closure, so branching on the cycle's vertices covers
+    every feasible solution; visited deletion sets are memoized and branches
+    at or above the incumbent weight are cut.  It is depth first from an
+    explicit stack, children in ascending vertex order, because its depth
+    grows with the number of cycles broken.
+    """
+    _refuse_over(inst.n, budget, "nodes")
+    if inst.topo_order is None:
+        raise ValueError("oracle needs an acyclic digraph")
+    und: list[list[int]] = [[] for _ in range(inst.n)]
+    for u, v in inst.arcs:
+        und[u].append(v)
+        und[v].append(u)
+    und = [sorted(ws) for ws in und]
+    root, closing = union_find(inst.n, inst.arcs)
+    cyclic = {root[u] for u, _ in closing}
+    components: dict[int, list[int]] = {}
+    for v in range(inst.n):
+        if root[v] in cyclic:
+            components.setdefault(root[v], []).append(v)
+    best = 0
+    for nodes in components.values():
+        best |= _exact_fvsp_component(inst, und, nodes)
+    deleted = _bits_to_list(best)
+    return inst.weight_of(deleted), tuple(deleted)

@@ -22,7 +22,17 @@ import numpy as np
 
 from scipy.optimize import linprog
 
-from ptodel.fvsp import FvspInstance, InstanceViolation, LpModel
+from ptodel.fvsp import (
+    FvspInstance,
+    FvspLpSolution,
+    FvspSolution,
+    InstanceViolation,
+    LpModel,
+    RoundingParams,
+    cleanup_unicyclic,
+    round_at,
+    theta_candidates,
+)
 from ptodel.graphs import VertexSet, WeightedGraph, vset
 from ptodel.lattice import InterCliqueDigraph
 
@@ -346,7 +356,8 @@ def remainder_is_forest(inst: FvspInstance, deleted) -> bool:
 
 
 def build_lp_loop(inst: FvspInstance) -> LpModel:
-    """Reference ``build_lp``: fills the constraint matrices arc by arc."""
+    """The paper's full LP, filled arc by arc: every node has a z column and
+    every arc is a kernel arc, with nothing peeled."""
     n, m = inst.n, inst.m
     nv = n + 2 * m
     c = np.zeros(nv)
@@ -367,7 +378,36 @@ def build_lp_loop(inst: FvspInstance) -> LpModel:
         b_ub[n + j] = 0.0
     for v in range(n):
         a_ub[v, v] = 1.0
-    return LpModel(inst=inst, c=c, a_eq=a_eq, b_eq=b_eq, a_ub=a_ub, b_ub=b_ub)
+    return LpModel(
+        inst=inst, z_nodes=np.arange(n), kernel_arcs=np.arange(m), peeled=(),
+        c=c, a_eq=a_eq, b_eq=b_eq, a_ub=a_ub, b_ub=b_ub,
+    )
+
+
+def derandomize_every_theta(
+    inst: FvspInstance, lp: FvspLpSolution, params: RoundingParams
+) -> FvspSolution:
+    """Reference ``derandomize``: rounds and cleans up at every candidate."""
+    best = None
+    for theta in theta_candidates(inst, lp, params):
+        outcome = round_at(inst, lp, params, theta)
+        extra = cleanup_unicyclic(inst, set(range(inst.n)) - outcome.deleted)
+        total = tuple(sorted(outcome.deleted | extra))
+        key = (inst.weight_of(total), total, theta)
+        if best is None or key < best[0]:
+            best = (key, outcome, extra)
+    (weight, deleted, theta), outcome, extra = best
+    return FvspSolution(
+        deleted=deleted,
+        weight=weight,
+        theta=theta,
+        stage_weights={
+            "step1": inst.weight_of(outcome.step1),
+            "step3": inst.weight_of(outcome.step3),
+            "cleanup": inst.weight_of(extra),
+        },
+        lp_value=lp.objective,
+    )
 
 
 def exact_fvsp_by_ideals(inst: FvspInstance) -> tuple[float, frozenset[int]]:

@@ -203,6 +203,18 @@ class TestOracleCommands:
         code, out, _ = run(capsys, "oracle", "fvsp", path)
         assert code == 0 and json.loads(out)["weight"] == 1.0
 
+    def test_fvsp_oracle_on_many_disjoint_diamonds(self, tmp_path, capsys):
+        # each weakly connected component is searched on its own, so 1,200
+        # unit-weight diamonds (sinks 4i, 4i+1 under sources 4i+2, 4i+3) take
+        # seconds; one search over their union ran for minutes
+        k = 1200
+        arcs = [(4 * i + s, 4 * i + t) for i in range(k) for s in (2, 3) for t in (0, 1)]
+        path = write(tmp_path, "diamonds.fv", format_instance(FvspInstance(4 * k, arcs, [1.0] * (4 * k))))
+        code, out, _ = run(capsys, "oracle", "fvsp", path, "--budget", str(4 * k))
+        res = json.loads(out)
+        assert code == 0 and res["weight"] == 1200.0
+        assert res["deleted"] == [4 * i for i in range(k)]
+
     def test_budget_exit_2(self, tmp_path, capsys):
         path = write(tmp_path, "c5.gr", format_graph(cycle_graph(5)))
         code, _, _ = run(capsys, "oracle", "pd", path, "--budget", "3")

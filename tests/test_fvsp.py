@@ -10,14 +10,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linprog
 
 from generators import random_c4gem_free, random_multitree
 from helpers_brute import (
     build_lp_loop,
+    derandomize_every_theta,
     exact_fvsp_by_ideals,
     remainder_is_forest,
     validate_instance_brute,
 )
+from ptodel import fvsp
 from ptodel.fixtures import cycle_graph, fixture_graph
 from ptodel.fvsp import (
     DEFAULT_PARAMS,
@@ -25,6 +28,7 @@ from ptodel.fvsp import (
     FvspFormatError,
     FvspInstance,
     InstanceViolation,
+    LpSolveError,
     RoundingParams,
     StructureError,
     build_lp,
@@ -123,10 +127,12 @@ class TestValidate:
 
 class TestLpModel:
     def test_variable_and_constraint_counts(self):
+        # ST is its own kernel; the sources 0 and 1 lose their z columns and,
+        # being the tail of every arc, all four precedence rows
         model = build_lp(ST)
-        assert len(model.c) == 12
-        assert model.a_eq.shape == (4, 12)
-        assert model.a_ub.shape == (8, 12)
+        assert len(model.c) == 10
+        assert model.a_eq.shape == (4, 10)
+        assert model.a_ub.shape == (4, 10)
 
     def test_forest_optimum_zero(self):
         assert solve_lp(build_lp(FOREST)).objective == pytest.approx(0.0, abs=1e-9)
@@ -153,10 +159,51 @@ class TestLpModel:
             g = random_c4gem_free(rng, rng.randint(4, 14), rng.choice([0.3, 0.5, 0.7]))
             insts.append(reduce_to_fvsp(g)[1])
         insts += [random_multitree(rng, rng.randint(2, 12)) for _ in range(30)]
+        kernels = 0
         for inst in insts:
-            got, want = build_lp(inst), build_lp_loop(inst)
-            for name in ("c", "a_eq", "b_eq", "a_ub", "b_ub"):
-                assert np.array_equal(getattr(got, name), getattr(want, name)), name
+            model = build_lp(inst)
+            kernels += len(model.kernel_arcs) > 0
+            # the kernel is a 2-core: no node in it has fewer than two arcs
+            degree = Counter(v for j in model.kernel_arcs for v in inst.arcs[j])
+            assert min(degree.values(), default=2) >= 2
+            lp = solve_lp(model)
+            full = build_lp_loop(inst)
+            want = 0.0
+            if len(full.c):
+                want = linprog(
+                    full.c, A_ub=full.a_ub, b_ub=full.b_ub, A_eq=full.a_eq,
+                    b_eq=full.b_eq, bounds=(0.0, 1.0), method="highs",
+                ).fun
+            assert lp.objective == pytest.approx(want, abs=1e-9), inst
+            # the lifted columns, laid out as the full LP's, meet every row
+            x = np.empty(len(full.c))
+            x[: inst.n] = lp.z
+            x[inst.n :: 2] = lp.x_tail
+            x[inst.n + 1 :: 2] = lp.x_head
+            assert np.max(np.abs(full.a_eq @ x - full.b_eq), initial=0.0) <= LP_RESIDUAL_TOL
+            assert np.max(full.a_ub @ x - full.b_ub, initial=0.0) <= LP_RESIDUAL_TOL
+            assert float(full.c @ x) == pytest.approx(want, abs=1e-9)
+        assert kernels >= 20, kernels
+
+    def test_bad_solver_point_fails_the_full_rows(self, monkeypatch):
+        class Zeros:  # "optimal", yet every equality row of ST reads 0 = 1
+            success, fun, message = True, 0.0, ""
+
+            def __init__(self, c):
+                self.x = np.zeros(len(c))
+
+        monkeypatch.setattr(fvsp, "linprog", lambda c, **kw: Zeros(c))
+        with pytest.raises(LpSolveError, match="LP residual 1.000e"):
+            solve_lp(build_lp(ST))
+
+    def test_forest_needs_no_solve(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a forest has an empty kernel")
+
+        monkeypatch.setattr(fvsp, "linprog", refuse)
+        lp = solve_lp(build_lp(FOREST))
+        assert lp.objective == 0.0 and lp.z == (0.0,) * FOREST.n
+        assert solve_fvsp(FOREST).deleted == ()
 
     def test_flat_columns_satisfy_the_rows(self):
         # z per node, x_tail and x_head per arc: each arc's equality row and
@@ -310,6 +357,38 @@ class TestDerandomize:
         lp = solve_lp(build_lp(inst))
         rs = derandomize(inst, lp, DEFAULT_PARAMS)
         assert inst.weight_of(rs.deleted) == pytest.approx(1.0)
+
+
+    def test_matches_a_cleanup_at_every_theta(self):
+        # one cleanup per distinct rounded set returns the very same solution
+        from ptodel.fvsp import FvspLpSolution
+
+        rng = random.Random(29)
+        insts = [random_multitree(rng, rng.randint(4, 16)) for _ in range(40)]
+        insts += [
+            reduce_to_fvsp(random_c4gem_free(rng, rng.randint(8, 16), 0.4))[1]
+            for _ in range(20)
+        ]
+        cases = [(inst, solve_lp(build_lp(inst))) for inst in insts]
+        # a feasible point of ST's LP on which theta = alpha fires the arcs
+        # into both sinks, while every later candidate leaves the 4-cycle to
+        # the cleanup, which takes the lighter sink 2
+        a = DEFAULT_PARAMS.alpha
+        heavy_st = FvspInstance(4, ST.arcs, [1.0, 1.0, 1.0, 2.0])
+        cases.append((heavy_st, FvspLpSolution(
+            z=(0.0,) * 4, x_tail=(1 - a, a, a, 1 - a), x_head=(a, 1 - a, 1 - a, a),
+            objective=0.0, max_residual=0.0,
+        )))
+        repeats = 0
+        for inst, lp in cases:
+            cands = theta_candidates(inst, lp, DEFAULT_PARAMS)
+            rounded = {round_at(inst, lp, DEFAULT_PARAMS, t).deleted for t in cands}
+            repeats += len(rounded) < len(cands)
+            want = derandomize_every_theta(inst, lp, DEFAULT_PARAMS)
+            assert derandomize(inst, lp, DEFAULT_PARAMS) == want
+        assert repeats >= 20, repeats
+        sol = derandomize(*cases[-1], DEFAULT_PARAMS)
+        assert sol.deleted == (2,) and sol.theta > a
 
 
 class TestSolve:
