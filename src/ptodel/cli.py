@@ -22,7 +22,6 @@ from .fvsp import (
     parse_instance,
     solution_to_json,
     solve_fvsp,
-    validate_instance,
     verify_fvsp_solution,
 )
 from .graphs import (
@@ -113,12 +112,7 @@ def cmd_icd(args: argparse.Namespace) -> int:
 
 def cmd_fvsp(args: argparse.Namespace) -> int:
     params = _parse_params(args.params)
-    inst = parse_instance(_read(args.input))
-    violation = validate_instance(inst)
-    if violation is not None:
-        print(f"invalid instance: {violation}", file=sys.stderr)
-        return EXIT_STRUCTURE
-    sol = solve_fvsp(inst, params)
+    sol = solve_fvsp(parse_instance(_read(args.input)), params)
     if args.fmt == "text":
         print(f"deleted {len(sol.deleted)} nodes, weight {sol.weight!r}, theta {sol.theta!r}")
     else:

@@ -14,8 +14,9 @@ The kernel optimum lifts back exactly to an optimum of the full LP, which is
 checked row by row.  The solver then derandomizes a threshold rounding:
 candidate thresholds are the arc breakpoints inside [alpha, beta] plus
 midpoints, every candidate is rounded and cleaned up, and the cheapest
-outcome wins.  After rounding, each remaining component contains
-at most one cycle, which the cleanup stage breaks optimally.
+outcome wins.  After rounding, each remaining component contains at most
+one cycle.  The cleanup finds it with the same 2-core peel as the LP kernel
+and breaks it at the lightest closure, comparing weights exactly.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from heapq import heappop, heappush
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 from scipy.optimize import linprog
@@ -225,32 +226,35 @@ DEFAULT_PARAMS = RoundingParams()
 # LP model
 
 
-def _peel(inst: FvspInstance) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...]]:
+def _peel(
+    n: int, arcs: Sequence[tuple[int, int]]
+) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...]]:
     """Remove nodes with at most one live neighbour in the underlying graph
-    until none is left; the nodes that stay form the 2-core.  Returns the
-    indices of the arcs inside the core and, in peel order, each removed node
-    that still had a live neighbour, with the arc to it (its link).  Every
-    arc outside the core is the link of exactly one removed node."""
-    inc: list[list[int]] = [[] for _ in range(inst.n)]
-    for j, (u, v) in enumerate(inst.arcs):
+    of ``arcs`` on nodes 0..n-1 until none is left; the nodes that stay form
+    the 2-core.  Returns the indices of the arcs inside the core and, in peel
+    order, each removed node that still had a live neighbour, with the arc to
+    it (its link).  Every arc outside the core is the link of exactly one
+    removed node."""
+    inc: list[list[int]] = [[] for _ in range(n)]
+    for j, (u, v) in enumerate(arcs):
         inc[u].append(j)
         inc[v].append(j)
     deg = [len(js) for js in inc]
-    alive = [True] * inst.n
-    stack = [v for v in reversed(range(inst.n)) if deg[v] <= 1]
+    alive = [True] * n
+    stack = [v for v in reversed(range(n)) if deg[v] <= 1]
     peeled: list[tuple[int, int]] = []
     while stack:  # each node is pushed once, when its degree first is <= 1
         p = stack.pop()
         alive[p] = False
         for j in inc[p]:
-            q = sum(inst.arcs[j]) - p
+            q = sum(arcs[j]) - p
             if alive[q]:  # at most one neighbour is still alive
                 peeled.append((p, j))
                 deg[q] -= 1
                 if deg[q] == 1:
                     stack.append(q)
                 break
-    core = tuple(j for j, (u, v) in enumerate(inst.arcs) if alive[u] and alive[v])
+    core = tuple(j for j, (u, v) in enumerate(arcs) if alive[u] and alive[v])
     return core, tuple(peeled)
 
 
@@ -286,7 +290,7 @@ def build_lp(inst: FvspInstance) -> LpModel:
       inequality and in the objective, so z = 0 loses nothing.  Its
       precedence rows go with the column.
     """
-    core, peeled = _peel(inst)
+    core, peeled = _peel(inst.n, inst.arcs)
     weight = list(inst.weights)
     for p, j in peeled:  # p's own pendant heads were moved onto it already
         if inst.arcs[j][1] == p:
@@ -339,7 +343,6 @@ class FvspLpSolution:
     x_tail: tuple[float, ...]
     x_head: tuple[float, ...]
     objective: float
-    max_residual: float
 
 
 def solve_lp(model: LpModel) -> FvspLpSolution:
@@ -403,7 +406,6 @@ def solve_lp(model: LpModel) -> FvspLpSolution:
         x_tail=tuple(np.clip(x_tail, 0.0, 1.0).tolist()),
         x_head=tuple(np.clip(x_head, 0.0, 1.0).tolist()),
         objective=objective,
-        max_residual=resid,
     )
 
 
@@ -502,9 +504,7 @@ def theta_candidates(
     for bps in _breakpoints(inst, lp):
         breaks.update(val for val in bps if lo <= val <= hi)
     ordered = sorted(breaks)
-    mids = [
-        (a + b) / 2.0 for a, b in zip(ordered, ordered[1:]) if a != b
-    ]
+    mids = [(a + b) / 2.0 for a, b in zip(ordered, ordered[1:])]
     return tuple(sorted(set(ordered + mids)))
 
 
@@ -513,8 +513,9 @@ def cleanup_unicyclic(
 ) -> frozenset[int]:
     """Break the single cycle of every remaining component optimally.
 
-    For each component that still contains a cycle, the cycle vertex whose
-    remaining descendant closure is lightest (ties to the smallest id) is
+    For each component that still contains a cycle, found by the LP
+    kernel's 2-core peel, the cycle vertex whose remaining descendant
+    closure is lightest (compared exactly; ties to the smallest id) is
     removed together with that closure.  A component with two or more
     independent cycles trips StructureError: the rounding stage must not
     produce one.
@@ -533,40 +534,15 @@ def cleanup_unicyclic(
                 f"{n_c - 1 + cycles[root[v]]} edges has more than one cycle; "
                 "rounding bug"
             )
-    # peel leaves: what survives is exactly the cycle of each component that
-    # has one
-    und: dict[int, list[int]] = {v: [] for v in rem}
-    for u, v in edges:
-        und[u].append(v)
-        und[v].append(u)
-    deg = {v: len(ws) for v, ws in und.items()}
-    alive = set(rem)
-    frontier = [v for v in rem if deg[v] <= 1]
-    while frontier:
-        v = frontier.pop()
-        if v not in alive:
-            continue
-        alive.discard(v)
-        for w in und[v]:
-            if w in alive:
-                deg[w] -= 1
-                if deg[w] <= 1:
-                    frontier.append(w)
-    cycle_of: dict[int, list[int]] = {}
-    for v in sorted(alive):
-        cycle_of.setdefault(root[v], []).append(v)
-
+    # the 2-core of a component with one cycle is that cycle
+    best: dict[int, tuple[float, int]] = {}
+    for v in {v for j in _peel(inst.n, edges)[0] for v in edges[j]}:
+        closure = inst.des_masks[v] & rem_mask
+        key = (sum(inst.weights[d] for d in _bits_to_list(closure)), v)
+        best[root[v]] = min(best.get(root[v], key), key)
     removed_mask = 0
-    for cycle in cycle_of.values():
-        best_v = None
-        best_w = None
-        for v in cycle:
-            wv = sum(
-                inst.weights[d] for d in _bits_to_list(inst.des_masks[v] & rem_mask)
-            )
-            if best_w is None or wv < best_w - 1e-15:
-                best_v, best_w = v, wv
-        removed_mask |= inst.des_masks[best_v] & rem_mask
+    for _, v in best.values():
+        removed_mask |= inst.des_masks[v] & rem_mask
     return frozenset(_bits_to_list(removed_mask))
 
 

@@ -355,6 +355,56 @@ def remainder_is_forest(inst: FvspInstance, deleted) -> bool:
     return True
 
 
+def cleanup_brute(inst: FvspInstance, remaining) -> frozenset[int]:
+    """Reference ``cleanup_unicyclic`` for remainders whose components have
+    at most one cycle.  A node is on a cycle when dropping one of its edges
+    leaves that edge's other end reachable from it; each component with such
+    a node loses the one of least (remaining descendant weight, id) together
+    with its remaining descendants."""
+    rem = set(remaining)
+    adj: dict[int, set[int]] = {v: set() for v in rem}
+    for u, v in inst.arcs:
+        if u in rem and v in rem:
+            adj[u].add(v)
+            adj[v].add(u)
+
+    def reach(s: int, cut: frozenset) -> set[int]:
+        seen, todo = {s}, [s]
+        while todo:
+            x = todo.pop()
+            for y in adj[x]:
+                if frozenset((x, y)) != cut and y not in seen:
+                    seen.add(y)
+                    todo.append(y)
+        return seen
+
+    def below(v: int) -> set[int]:
+        seen, todo = {v}, [v]
+        while todo:
+            for y in inst.out_adj[todo.pop()]:
+                if y not in seen:
+                    seen.add(y)
+                    todo.append(y)
+        return seen & rem
+
+    removed: set[int] = set()
+    done: set[int] = set()
+    for v in sorted(rem):
+        if v in done:
+            continue
+        comp = reach(v, frozenset())
+        done |= comp
+        on_cycle = [
+            x for x in comp if any(y in reach(x, frozenset((x, y))) for y in adj[x])
+        ]
+        if on_cycle:
+            _, x = min(
+                (sum(inst.weights[d] for d in sorted(below(x))), x) for x in on_cycle
+            )
+            removed |= below(x)
+    return frozenset(removed)
+
+
 def build_lp_loop(inst: FvspInstance) -> LpModel:
     """The paper's full LP, filled arc by arc: every node has a z column and
     every arc is a kernel arc, with nothing peeled."""

@@ -15,6 +15,7 @@ from scipy.optimize import linprog
 from generators import random_c4gem_free, random_multitree
 from helpers_brute import (
     build_lp_loop,
+    cleanup_brute,
     derandomize_every_theta,
     exact_fvsp_by_ideals,
     remainder_is_forest,
@@ -44,6 +45,7 @@ from ptodel.fvsp import (
     validate_instance,
     verify_fvsp_solution,
 )
+from ptodel.graphs import _bits_to_list, union_find
 from ptodel.lattice import build_icd
 from ptodel.oracle import exact_fvsp
 from ptodel.pipeline import hit_c4_gem, reduce_to_fvsp
@@ -250,7 +252,6 @@ class TestRoundAt:
             x_tail=(0.25, 0.2),
             x_head=(0.25, 0.2),
             objective=1.1,
-            max_residual=0.0,
         )
         out = round_at(chain, lp, DEFAULT_PARAMS, 0.55)
         assert out.step1 == frozenset({1, 2})
@@ -265,7 +266,6 @@ class TestRoundAt:
             x_tail=(0.55, 0.5),
             x_head=(0.45, 0.5),
             objective=0.0,
-            max_residual=0.0,
         )
         out = round_at(chain, lp, DEFAULT_PARAMS, 0.55)  # xbar_head of arc 0
         assert 0 in out.fired_arcs
@@ -280,7 +280,7 @@ class TestCandidates:
         # the two ends, the breakpoint, and both midpoints
         inst = FvspInstance(2, [(0, 1)], [1.0, 1.0])
         lp = FvspLpSolution(
-            z=(0.0, 0.0), x_tail=(0.55,), x_head=(0.45,), objective=0.0, max_residual=0.0
+            z=(0.0, 0.0), x_tail=(0.55,), x_head=(0.45,), objective=0.0
         )
         a, b = DEFAULT_PARAMS.alpha, DEFAULT_PARAMS.beta
         expected = sorted({a, 0.55, b, (a + 0.55) / 2, (0.55 + b) / 2})
@@ -311,6 +311,41 @@ class TestCleanup:
         arcs = [(0, 2), (1, 2), (1, 3), (0, 3), (4, 6), (5, 6), (5, 7), (4, 7)]
         inst = FvspInstance(8, arcs, [1.0, 1.0, 1.0, 5.0, 1.0, 1.0, 1.0, 5.0])
         assert cleanup_unicyclic(inst, range(8)) == frozenset({2, 6})
+
+    def test_near_tie_compared_exactly(self):
+        # closures on the 4-cycle: W(2) = 0.1 + 0.2 = 0.30000000000000004,
+        # W(3) = 0.3; node 3 is lighter by less than 1e-15
+        inst = FvspInstance(
+            5, [(0, 2), (0, 3), (1, 2), (1, 3), (2, 4)], [1.0, 1.0, 0.1, 0.3, 0.2]
+        )
+        assert cleanup_unicyclic(inst, range(5)) == {3}
+        assert solve_fvsp(inst).deleted == (3,)
+
+    def test_matches_brute_on_random_remainders(self):
+        # complements of random downward-closed sets and random node subsets,
+        # kept when every component has at most one cycle
+        rng = random.Random(31)
+        cases = cleaned = 0
+        while cases < 400:
+            inst = random_multitree(rng, rng.randint(4, 14))
+            if rng.random() < 0.5:
+                gone = set()
+                for v in rng.sample(range(inst.n), rng.randint(0, 2)):
+                    gone.update(_bits_to_list(inst.des_masks[v]))
+                rem = set(range(inst.n)) - gone
+            else:
+                rem = {v for v in range(inst.n) if rng.random() < 0.9}
+            kept = [(u, v) for u, v in inst.arcs if u in rem and v in rem]
+            root = union_find(inst.n, kept)[0]
+            nodes = Counter(root[v] for v in rem)
+            edges = Counter(root[u] for u, _ in kept)
+            if any(edges[r] > nodes[r] for r in nodes):
+                continue
+            cases += 1
+            want = cleanup_brute(inst, rem)
+            assert cleanup_unicyclic(inst, rem) == want, (inst, rem)
+            cleaned += bool(want)
+        assert cleaned >= 100, cleaned
 
     def test_two_cycles_in_component_rejected(self):
         theta_shape = FvspInstance(
@@ -377,7 +412,7 @@ class TestDerandomize:
         heavy_st = FvspInstance(4, ST.arcs, [1.0, 1.0, 1.0, 2.0])
         cases.append((heavy_st, FvspLpSolution(
             z=(0.0,) * 4, x_tail=(1 - a, a, a, 1 - a), x_head=(a, 1 - a, 1 - a, a),
-            objective=0.0, max_residual=0.0,
+            objective=0.0,
         )))
         repeats = 0
         for inst, lp in cases:
