@@ -22,6 +22,7 @@ from .fvsp import (
     parse_instance,
     solution_to_json,
     solve_fvsp,
+    validate_instance,
     verify_fvsp_solution,
 )
 from .graphs import (
@@ -69,7 +70,11 @@ def _parse_params(spec: Optional[str]) -> RoundingParams:
 
 
 def _read(path: str) -> str:
-    return Path(path).read_text()
+    # any unreadable path (missing, a directory, no permission) is bad input
+    try:
+        return Path(path).read_text()
+    except OSError as exc:
+        raise ValueError(str(exc)) from exc
 
 
 # Each handler takes the argparse namespace and parses its own options
@@ -156,6 +161,9 @@ def cmd_check(args: argparse.Namespace) -> int:
     solution = json.loads(_read(args.solution))
     if first_record_tag(text) == "d":
         inst = parse_instance(text)
+        violation = validate_instance(inst)
+        if violation is not None:
+            raise StructureError(f"invalid instance: {violation}")
         deleted = _deleted_ids(solution, inst.n)
         bad = verify_fvsp_solution(inst, deleted)
         _emit(
@@ -257,7 +265,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _HANDLERS[args.command](args)
-    except (FileNotFoundError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (IcdStructureError, PipelineError, StructureError, LpSolveError) as exc:

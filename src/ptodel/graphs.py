@@ -85,7 +85,7 @@ class WeightedGraph:
         return self.adj_bits[v] | (1 << v)
 
     def weight_of(self, vertices: Iterable[int]) -> float:
-        return float(sum(self.weights[v] for v in vertices))
+        return float(sum(self.weights[v] for v in sorted(vertices)))
 
     def total_weight(self) -> float:
         return float(sum(self.weights))

@@ -53,9 +53,10 @@ class InterCliqueDigraph:
     indices into ``max_cliques`` of the maximal cliques containing it.  Arcs
     are (parent, child) pairs with ``cliques[parent] > cliques[child]``.
     ``phi[v]`` maps vertex v to the node of its canonical clique (the unique
-    minimal node containing v); ``phi_inv`` are the preimages, which partition
-    the vertex set; ``node_weights[i]`` sums the graph weights of
-    ``phi_inv[i]``.
+    minimal node containing v), and ``vertex_weights`` are the graph's
+    weights.  The views ``phi_inv`` (the preimages, which partition the
+    vertex set) and ``node_weights`` (``node_weights[i]`` sums the weights of
+    ``phi_inv[i]``) are derived on first use.
     """
 
     cliques: tuple[VertexSet, ...]
@@ -63,12 +64,24 @@ class InterCliqueDigraph:
     arcs: tuple[tuple[int, int], ...]
     max_cliques: tuple[VertexSet, ...]
     phi: tuple[int, ...]
-    phi_inv: tuple[VertexSet, ...]
-    node_weights: tuple[float, ...]
+    vertex_weights: tuple[float, ...]
 
     @property
     def n_nodes(self) -> int:
         return len(self.cliques)
+
+    @cached_property
+    def phi_inv(self) -> tuple[VertexSet, ...]:
+        inv: list[list[int]] = [[] for _ in range(self.n_nodes)]
+        for v, x in enumerate(self.phi):
+            inv[x].append(v)
+        return tuple(tuple(vs) for vs in inv)
+
+    @cached_property
+    def node_weights(self) -> tuple[float, ...]:
+        return tuple(
+            float(sum(self.vertex_weights[v] for v in vs)) for vs in self.phi_inv
+        )
 
     @cached_property
     def children(self) -> tuple[tuple[int, ...], ...]:
@@ -83,32 +96,6 @@ class InterCliqueDigraph:
 
 # ---------------------------------------------------------------------------
 # construction helpers
-
-
-def _assemble(
-    g: WeightedGraph,
-    max_cliques_list: list[VertexSet],
-    cliques: list[VertexSet],
-    src_sets: list[tuple[int, ...]],
-    arcs: list[tuple[int, int]],
-    phi: list[int],
-) -> InterCliqueDigraph:
-    """Package nodes (cliques and source sets, already ordered), arcs and phi
-    into the frozen structure."""
-    inv: list[list[int]] = [[] for _ in cliques]
-    for v, x in enumerate(phi):
-        inv[x].append(v)
-    phi_inv = tuple(tuple(vs) for vs in inv)
-    weights = tuple(float(sum(g.weights[v] for v in vs)) for vs in phi_inv)
-    return InterCliqueDigraph(
-        cliques=tuple(cliques),
-        src_sets=tuple(src_sets),
-        arcs=tuple(sorted(arcs)),
-        max_cliques=tuple(max_cliques_list),
-        phi=tuple(phi),
-        phi_inv=phi_inv,
-        node_weights=weights,
-    )
 
 
 def _node_sort_key(clique: VertexSet) -> tuple[int, VertexSet]:
@@ -166,7 +153,7 @@ def build_icd(g: WeightedGraph) -> InterCliqueDigraph:
     out-tree) raise IcdStructureError; they indicate the precondition failed.
     """
     n = g.n
-    mc = maximal_cliques(g, n * n)
+    mc = tuple(maximal_cliques(g, n * n))
     if len(mc) > n * n:
         raise IcdStructureError(
             f"more than {n * n} maximal cliques on {n} vertices; input is not C4-free"
@@ -187,11 +174,11 @@ def build_icd(g: WeightedGraph) -> InterCliqueDigraph:
             cm &= mc_masks[i]
         nodes.append((tuple(_bits_to_list(cm)), src, s))
     nodes.sort(key=lambda node: _node_sort_key(node[0]))
-    cliques = [c for c, _, _ in nodes]
+    cliques = tuple(c for c, _, _ in nodes)
     if len(set(cliques)) != len(nodes):
         raise IcdStructureError("distinct source sets produced equal cliques")
 
-    src_sets = [src for _, src, _ in nodes]
+    src_sets = tuple(src for _, src, _ in nodes)
     arcs, witness = _clique_forest(cliques, src_sets, mc)
     if witness is not None:
         raise IcdStructureError(
@@ -199,8 +186,10 @@ def build_icd(g: WeightedGraph) -> InterCliqueDigraph:
             "input is not (C4, gem)-free"
         )
     src_index = {s: i for i, (_, _, s) in enumerate(nodes)}
-    phi = [src_index[s] for s in vertex_src]
-    return _assemble(g, mc, cliques, src_sets, list(arcs), phi)
+    phi = tuple(src_index[s] for s in vertex_src)
+    return InterCliqueDigraph(
+        cliques, src_sets, tuple(sorted(arcs)), mc, phi, g.weights
+    )
 
 
 def brute_force_icd(
@@ -217,7 +206,7 @@ def brute_force_icd(
     if max_clique_budget < 1:
         raise ValueError("budget must be positive")
     n = g.n
-    mc = maximal_cliques(g, max_clique_budget)
+    mc = tuple(maximal_cliques(g, max_clique_budget))
     if len(mc) > max_clique_budget:
         raise BudgetExceededError(
             f"more than {max_clique_budget} maximal cliques on {n} vertices "
@@ -239,9 +228,9 @@ def brute_force_icd(
 
     cliques = sorted((tuple(_bits_to_list(cm)) for cm in distinct), key=_node_sort_key)
     clique_masks = [_mask_of(c) for c in cliques]
-    src_sets = [
+    src_sets = tuple(
         tuple(i for i, mm in enumerate(mc_masks) if cm & mm == cm) for cm in clique_masks
-    ]
+    )
 
     greater: list[list[int]] = []
     for j, cj in enumerate(clique_masks):
@@ -274,7 +263,9 @@ def brute_force_icd(
         assert hit, "every vertex lies in some maximal clique"
         phi.append(clique_index[cm])
 
-    return _assemble(g, mc, cliques, src_sets, arcs, phi)
+    return InterCliqueDigraph(
+        tuple(cliques), src_sets, tuple(sorted(arcs)), mc, tuple(phi), g.weights
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -92,18 +92,22 @@ def _lightest_hitting_set(
     feasible: Callable[[VertexSet], bool],
 ) -> tuple[float, VertexSet]:
     """Minimum-weight S meeting every induced C4 and gem with ``feasible(S)``
-    true, by weight-ordered subset enumeration.  Ties resolve to the
-    lexicographically smallest set."""
+    true, by weight-ordered subset enumeration.  A set weighs
+    ``g.weight_of(subset)``; ties resolve to the lexicographically smallest
+    set."""
     _refuse_over(g.n, budget, "vertices")
     obstructions = [sum(1 << v for v in obs) for obs in c4_gem_obstructions(g)]
     best: Optional[tuple[float, VertexSet]] = None
     for total, subset in _subsets_by_weight(g.weights):
+        # the heap's running total differs from a set's own sum by rounding
+        # only, so a set up to 1e-9 above the best may still weigh no more
         if best is not None and total > best[0] + 1e-9:
             break
         mask = sum(1 << v for v in subset)
         if all(mask & ob for ob in obstructions) and feasible(subset):
-            if best is None or (total, subset) < best:
-                best = (total, subset)
+            weight = g.weight_of(subset)
+            if best is None or (weight, subset) < best:
+                best = (weight, subset)
     assert best is not None, "deleting everything is always feasible"
     return best
 
@@ -178,8 +182,8 @@ def _exact_fvsp_component(
         if del_mask in seen:
             continue
         seen.add(del_mask)
-        w = float(sum(inst.weights[v] for v in _bits_to_list(del_mask)))
-        if w >= best_w - 1e-12 and best is not None:
+        w = inst.weight_of(_bits_to_list(del_mask))
+        if w >= best_w:
             continue
         remaining = [v for v in nodes if not (del_mask >> v) & 1]
         cycle = _undirected_cycle(und, remaining)

@@ -153,10 +153,7 @@ def lift(icd: InterCliqueDigraph, nodes: Iterable[int]) -> VertexSet:
                 raise ValueError(
                     f"node set is not downward-closed: {x} in, child {c} out"
                 )
-    out: list[int] = []
-    for x in sel:
-        out.extend(icd.phi_inv[x])
-    return vset(out)
+    return tuple(v for v, x in enumerate(icd.phi) if x in sel)
 
 
 @dataclass(frozen=True)
@@ -169,7 +166,6 @@ class PipelineResult:
     fvsp: FvspSolution
     lifted: VertexSet
     lifted_weight: float
-    kept: VertexSet  # vertices handed to the lattice stage (original ids)
     icd: InterCliqueDigraph
     obstruction_free: bool  # remainder passes the hole/gem scan
     lattice_forest: bool  # remainder's ICD has a forest underlying graph
@@ -206,7 +202,6 @@ def solve_ptolemaic_deletion(
         fvsp=fvsp_sol,
         lifted=lifted,
         lifted_weight=g.weight_of(lifted),
-        kept=kept,
         icd=icd,
         obstruction_free=ok_scan,
         lattice_forest=ok_icd,

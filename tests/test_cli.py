@@ -56,6 +56,11 @@ class TestSolve:
         code, _, _ = run(capsys, "solve", "/nonexistent/graph.gr")
         assert code == 2
 
+    def test_directory_input_exits_2(self, tmp_path, capsys):
+        code, out, err = run(capsys, "solve", str(tmp_path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_text_format(self, tmp_path, capsys):
         path = write(tmp_path, "c5.gr", format_graph(cycle_graph(5)))
         code, out, _ = run(capsys, "solve", path, "--format", "text")
@@ -291,6 +296,29 @@ class TestCheck:
         code, out, err = run(capsys, "check", ipath, "--solution", spath)
         assert (code, err) == (0, "")
         assert json.loads(out) == {"feasible": True, "reason": None, "weight": 0.0}
+
+    def test_directory_solution_exits_2(self, tmp_path, capsys):
+        gpath = write(tmp_path, "c5.gr", format_graph(cycle_graph(5)))
+        code, out, err = run(capsys, "check", gpath, "--solution", str(tmp_path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_weight_does_not_depend_on_listed_order(self, tmp_path, capsys):
+        gpath = write(tmp_path, "three.gr", "p 3 0\nv 0 0.1\nv 1 0.2\nv 2 0.3\n")
+        weights = []
+        for order in ([0, 1, 2], [2, 1, 0]):
+            spath = write(tmp_path, "sol.json", json.dumps(order))
+            code, out, _ = run(capsys, "check", gpath, "--solution", spath)
+            assert code == 0
+            weights.append(json.loads(out)["weight"])
+        assert weights == [0.1 + 0.2 + 0.3] * 2
+
+    def test_invalid_fvsp_instance_exits_3_as_fvsp_does(self, tmp_path, capsys):
+        ipath = write(tmp_path, "cyc.fv", "d 3 3\na 0 1\na 1 2\na 2 0\n")
+        spath = write(tmp_path, "sol.json", json.dumps([0, 1, 2]))
+        line = "error: invalid instance: cycle at node 0\n"
+        assert run(capsys, "check", ipath, "--solution", spath) == (3, "", line)
+        assert run(capsys, "fvsp", ipath) == (3, "", line)
 
     def test_solution_not_json_exits_2(self, tmp_path, capsys):
         gpath = write(tmp_path, "c5.gr", format_graph(cycle_graph(5)))

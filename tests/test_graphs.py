@@ -445,3 +445,7 @@ class TestWeightedGraphBasics:
 
     def test_weight_of_is_float(self):
         assert isinstance(path_graph(3).weight_of([]), float)
+
+    def test_weight_of_sums_in_id_order(self):
+        g = WeightedGraph(3, [], [0.1, 0.2, 0.3])
+        assert g.weight_of([2, 1, 0]) == g.weight_of({2, 0, 1}) == (0.1 + 0.2) + 0.3

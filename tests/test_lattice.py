@@ -344,8 +344,7 @@ class TestStructuralChecks:
                 arcs=arcs,
                 max_cliques=((0, 1, 2),),
                 phi=(2, 1, 0),
-                phi_inv=((2,), (1,), (0,)),
-                node_weights=(1.0, 1.0, 1.0),
+                vertex_weights=(1.0, 1.0, 1.0),
             )
 
         assert check_laminar_out_trees(icd_with(((0, 1), (0, 2)))) == (
@@ -372,8 +371,7 @@ class TestStructuralChecks:
             arcs=((0, 1), (0, 2), (1, 3), (2, 3)),
             max_cliques=((0, 1, 2), (0, 1, 3), (0, 2, 3)),
             phi=(3, 1, 2),
-            phi_inv=((), (1,), (2,), (0,)),
-            node_weights=(0.0, 1.0, 1.0, 1.0),
+            vertex_weights=(1.0, 1.0, 1.0),
         )
         assert _anc_violation(syn).node == 3
 

@@ -73,6 +73,22 @@ class TestExactPtolemaicDeletion:
             exact_c4gem_hitting(path_graph(5), 4)
         assert exact_ptolemaic_deletion(path_graph(5), 5) == (0.0, ())
 
+    def test_reported_weight_is_the_sets_own(self):
+        # the weight-ordered scan reaches (2, 4) with a running total one ulp
+        # above 0.7831346397300021 + 2.5376883303138342
+        weights = [
+            2.2404367846249174, 9.615370017316605, 0.7831346397300021,
+            6.729831597741093, 2.5376883303138342, 3.347597000269494,
+            3.9594131556827215, 9.453525196056425,
+        ]
+        edges = [
+            (0, 2), (0, 3), (0, 4), (1, 6), (2, 4), (2, 5), (2, 6),
+            (3, 4), (3, 5), (4, 5), (4, 6), (4, 7), (5, 7), (6, 7),
+        ]
+        g = WeightedGraph(8, edges, weights)
+        for solver in (exact_ptolemaic_deletion, exact_c4gem_hitting):
+            assert solver(g) == (g.weight_of((2, 4)), (2, 4))
+
     def test_outputs_feasible(self):
         rng = random.Random(51)
         for _ in range(15):
@@ -101,6 +117,11 @@ class TestExactFvsp:
         with pytest.raises(BudgetExceededError, match="^4 nodes exceeds oracle budget 2$"):
             exact_fvsp(ST, 2)
         assert exact_fvsp(ST, 4)[0] == 1.0
+
+    def test_near_tie_is_compared_exactly(self):
+        # deleting node 3 is 4e-13 lighter than deleting node 2
+        inst = FvspInstance(4, [(0, 2), (1, 2), (1, 3), (0, 3)], [5, 5, 1.0, 1 - 4e-13])
+        assert exact_fvsp(inst) == (1 - 4e-13, (3,))
 
     def test_many_cycles_without_recursion(self):
         # 300 disjoint diamonds (sinks 4i, 4i+1 under sources 4i+2, 4i+3):
