@@ -17,6 +17,7 @@ from .fvsp import (
     verify_fvsp_solution,
 )
 from .graphs import (
+    StageError,
     WeightedGraph,
     find_hole,
     find_induced_c4,
@@ -52,6 +53,7 @@ __all__ = [
     "InterCliqueDigraph",
     "PipelineResult",
     "RoundingParams",
+    "StageError",
     "WeightedGraph",
     "brute_force_icd",
     "build_icd",

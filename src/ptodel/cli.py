@@ -16,9 +16,7 @@ from typing import Optional
 from . import fixtures
 from .fvsp import (
     DEFAULT_PARAMS,
-    LpSolveError,
     RoundingParams,
-    StructureError,
     parse_instance,
     solution_to_json,
     solve_fvsp,
@@ -26,6 +24,7 @@ from .fvsp import (
     verify_fvsp_solution,
 )
 from .graphs import (
+    StageError,
     find_induced_c4,
     find_induced_gem,
     first_record_tag,
@@ -35,7 +34,6 @@ from .graphs import (
 )
 from .lattice import (
     ORACLE_CLIQUE_BUDGET,
-    IcdStructureError,
     brute_force_icd,
     build_icd,
     dump_icd,
@@ -48,7 +46,7 @@ from .oracle import (
     exact_fvsp,
     exact_ptolemaic_deletion,
 )
-from .pipeline import PipelineError, result_to_json, solve_ptolemaic_deletion
+from .pipeline import result_to_json, solve_ptolemaic_deletion
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -102,11 +100,9 @@ def cmd_icd(args: argparse.Namespace) -> int:
     else:
         witness = find_induced_c4(g) or find_induced_gem(g)
         if witness is not None:
-            print(
-                f"input is not (C4, gem)-free; obstruction: {list(witness)}",
-                file=sys.stderr,
+            raise StageError(
+                "reduce", f"input is not (C4, gem)-free; obstruction: {list(witness)}"
             )
-            return EXIT_STRUCTURE
         icd = build_icd(g)
     if args.fmt == "dot":
         print(icd_to_dot(icd), end="")
@@ -163,7 +159,7 @@ def cmd_check(args: argparse.Namespace) -> int:
         inst = parse_instance(text)
         violation = validate_instance(inst)
         if violation is not None:
-            raise StructureError(f"invalid instance: {violation}")
+            raise StageError("fvsp", f"invalid instance: {violation}")
         deleted = _deleted_ids(solution, inst.n)
         bad = verify_fvsp_solution(inst, deleted)
         _emit(
@@ -268,7 +264,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (IcdStructureError, PipelineError, StructureError, LpSolveError) as exc:
+    except StageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_STRUCTURE
 

@@ -31,7 +31,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 from scipy.optimize import linprog
 
-from .graphs import _bits_to_list, _mask_of, read_records, union_find
+from .graphs import StageError, _bits_to_list, _mask_of, read_records, union_find
 
 STEP1_TOL = 1e-9
 INTERVAL_TOL = 1e-12
@@ -40,14 +40,6 @@ LP_RESIDUAL_TOL = 1e-8
 
 class FvspFormatError(ValueError):
     """Raised when an instance text file cannot be parsed."""
-
-
-class LpSolveError(RuntimeError):
-    """LP solver failed or returned an infeasible point."""
-
-
-class StructureError(RuntimeError):
-    """A structural invariant of the rounding pipeline was violated."""
 
 
 @dataclass(frozen=True)
@@ -357,8 +349,8 @@ def solve_lp(model: LpModel) -> FvspLpSolution:
 
     A node removed without a live neighbour keeps z = 0.
 
-    Raises LpSolveError on solver failure or a full-LP residual above 1e-8
-    (the instance itself is always feasible: all-z=1 works)."""
+    Raises an ``fvsp`` StageError on solver failure or a full-LP residual
+    above 1e-8 (the instance itself is always feasible: all-z=1 works)."""
     inst = model.inst
     n, m, k = inst.n, inst.m, len(model.z_nodes)
     z, x_tail, x_head = np.zeros(n), np.zeros(m), np.zeros(m)
@@ -374,7 +366,7 @@ def solve_lp(model: LpModel) -> FvspLpSolution:
             method="highs",
         )
         if not res.success:
-            raise LpSolveError(f"LP solve failed: {res.message}")
+            raise StageError("fvsp", f"LP solve failed: {res.message}")
         z[model.z_nodes] = res.x[:k]
         x_tail[model.kernel_arcs] = res.x[k::2]
         x_head[model.kernel_arcs] = res.x[k + 1 :: 2]
@@ -400,7 +392,7 @@ def solve_lp(model: LpModel) -> FvspLpSolution:
         float(np.max(np.abs(values - 0.5) - 0.5, initial=0.0)),
     )
     if resid > LP_RESIDUAL_TOL:
-        raise LpSolveError(f"LP residual {resid:.3e} exceeds {LP_RESIDUAL_TOL:.0e}")
+        raise StageError("fvsp", f"LP residual {resid:.3e} exceeds {LP_RESIDUAL_TOL:.0e}")
     return FvspLpSolution(
         z=tuple(np.clip(z, 0.0, 1.0).tolist()),
         x_tail=tuple(np.clip(x_tail, 0.0, 1.0).tolist()),
@@ -517,7 +509,7 @@ def cleanup_unicyclic(
     kernel's 2-core peel, the cycle vertex whose remaining descendant
     closure is lightest (compared exactly; ties to the smallest id) is
     removed together with that closure.  A component with two or more
-    independent cycles trips StructureError: the rounding stage must not
+    independent cycles trips an ``fvsp`` StageError: the rounding must not
     produce one.
     """
     rem = sorted(set(remaining))
@@ -529,7 +521,8 @@ def cleanup_unicyclic(
     for v in rem:  # components in order of their smallest node
         if cycles[root[v]] > 1:
             n_c = sum(1 for w in rem if root[w] == root[v])
-            raise StructureError(
+            raise StageError(
+                "fvsp",
                 f"remainder component with {n_c} nodes and "
                 f"{n_c - 1 + cycles[root[v]]} edges has more than one cycle; "
                 "rounding bug"
@@ -626,11 +619,11 @@ def solve_fvsp(
     weighs at most (1/eps + 2/(beta-alpha) + 1) times the optimum."""
     violation = validate_instance(inst)
     if violation is not None:
-        raise StructureError(f"invalid instance: {violation}")
+        raise StageError("fvsp", f"invalid instance: {violation}")
     sol = derandomize(inst, solve_lp(build_lp(inst)), params)
     bad = verify_fvsp_solution(inst, sol.deleted)
     if bad is not None:
-        raise StructureError(f"rounded solution infeasible: {bad}")
+        raise StageError("fvsp", f"rounded solution infeasible: {bad}")
     return sol
 
 

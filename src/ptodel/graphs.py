@@ -28,6 +28,15 @@ class BudgetExceededError(ValueError):
     """Raised when an input is too large for an exact oracle's size cap."""
 
 
+class StageError(RuntimeError):
+    """A structural invariant failed inside a stage (``hitting``, ``reduce``,
+    ``fvsp`` or ``verify``); ``stage`` names it and the message leads with it."""
+
+    def __init__(self, stage: str, message: str):
+        super().__init__(f"[{stage}] {message}")
+        self.stage = stage
+
+
 def vset(vertices: Iterable[int]) -> VertexSet:
     """Canonical vertex set: sorted, duplicate-free tuple."""
     return tuple(sorted(set(vertices)))
@@ -125,6 +134,9 @@ class WeightedGraph:
 # text format: `p <n> <m>`, optional `v <id> [<weight>]`, `e <u> <v>`, `#` comments;
 # FVSP instances (`fvsp.parse_instance`) share the reader with `d`, `n`, `a`
 
+# the most vertices (or nodes) a header may declare; checked before n-sized work
+MAX_HEADER_N = 1_000_000
+
 
 def _records(text: str):
     """(line number, raw line, tokens) of each line that is not blank once
@@ -152,10 +164,10 @@ def read_records(
 
     ``tags`` are the header, weight and pair record tags (``pve`` for graphs,
     ``dna`` for FVSP instances): ``<header> <n> <m>``, ``<weight> <id>
-    [<w>]`` with weight 1.0 by default, ``<pair> <u> <v>``; a record with
-    more tokens than that is rejected.  ``nouns`` name
-    an id and the pairs in messages; every fault, including a ValueError
-    from ``build``, is raised as ``error``.
+    [<w>]`` with weight 1.0 by default, ``<pair> <u> <v>``.  A longer record,
+    an ``n`` above MAX_HEADER_N or a second weight for an id is rejected.
+    ``nouns`` name an id and the pairs in messages; every fault, including a
+    ValueError from ``build``, is raised as ``error``.
     """
     head, item, pair = tags
     n = m = None
@@ -173,11 +185,15 @@ def read_records(
                 raise ValueError("more than 3 tokens")
             elif parts[0] == head:
                 n, m = int(parts[1]), int(parts[2])
+                if n > MAX_HEADER_N:
+                    raise error(f"line {lineno}: {nouns[0]} count {n} exceeds {MAX_HEADER_N}")
             elif parts[0] == item:
                 vid = int(parts[1])
                 w = float(parts[2]) if len(parts) > 2 else 1.0
                 if not 0 <= vid < n:
                     raise error(f"line {lineno}: {nouns[0]} {vid} out of range")
+                if vid in weights:
+                    raise error(f"line {lineno}: duplicate weight for {nouns[0]} {vid}")
                 weights[vid] = w
             else:
                 pairs.append((int(parts[1]), int(parts[2])))
@@ -395,7 +411,7 @@ def find_hole(g: WeightedGraph) -> Optional[VertexSet]:
         return None
     hole = _shortest_hole(g)
     if hole is None:
-        raise RuntimeError("elimination check and hole search disagree")
+        raise StageError("verify", "elimination check and hole search disagree")
     return hole
 
 

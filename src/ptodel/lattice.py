@@ -27,6 +27,7 @@ from typing import Optional, Sequence
 
 from .graphs import (
     BudgetExceededError,
+    StageError,
     VertexSet,
     WeightedGraph,
     _bits_to_list,
@@ -38,11 +39,6 @@ from .graphs import (
 
 # the most maximal cliques brute_force_icd accepts by default (``icd --oracle``)
 ORACLE_CLIQUE_BUDGET = 20
-
-
-class IcdStructureError(RuntimeError):
-    """Structural guard tripped while building an ICD; the (C4, gem)-free
-    precondition was most likely violated."""
 
 
 @dataclass(frozen=True)
@@ -150,12 +146,13 @@ def build_icd(g: WeightedGraph) -> InterCliqueDigraph:
     Each source mask is materialized as the intersection of its maximal
     cliques; ``phi`` reads each vertex's mask.  Structural guards (more than
     n^2 maximal cliques, equal cliques, a family that is not a laminar
-    out-tree) raise IcdStructureError; they indicate the precondition failed.
+    out-tree) raise a ``reduce`` StageError; they mean the precondition failed.
     """
     n = g.n
     mc = tuple(maximal_cliques(g, n * n))
     if len(mc) > n * n:
-        raise IcdStructureError(
+        raise StageError(
+            "reduce",
             f"more than {n * n} maximal cliques on {n} vertices; input is not C4-free"
         )
     mc_masks = [_mask_of(c) for c in mc]
@@ -176,12 +173,13 @@ def build_icd(g: WeightedGraph) -> InterCliqueDigraph:
     nodes.sort(key=lambda node: _node_sort_key(node[0]))
     cliques = tuple(c for c, _, _ in nodes)
     if len(set(cliques)) != len(nodes):
-        raise IcdStructureError("distinct source sets produced equal cliques")
+        raise StageError("reduce", "distinct source sets produced equal cliques")
 
     src_sets = tuple(src for _, src, _ in nodes)
     arcs, witness = _clique_forest(cliques, src_sets, mc)
     if witness is not None:
-        raise IcdStructureError(
+        raise StageError(
+            "reduce",
             f"per-maximal-clique family is not an out-tree: {witness}; "
             "input is not (C4, gem)-free"
         )
@@ -291,7 +289,7 @@ def is_ptolemaic_via_icd(g: WeightedGraph) -> bool:
     ``build_icd`` never raises, so a structural error is a False verdict."""
     try:
         return build_icd(g).underlying_is_forest()
-    except IcdStructureError:
+    except StageError:
         return False
 
 

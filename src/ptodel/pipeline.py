@@ -26,6 +26,7 @@ from .fvsp import (
     validate_instance,
 )
 from .graphs import (
+    StageError,
     VertexSet,
     WeightedGraph,
     all_induced_c4,
@@ -39,14 +40,6 @@ from .lattice import InterCliqueDigraph, build_icd, is_ptolemaic_via_icd
 
 HIT_THRESHOLD = 0.2
 HIT_TOL = 1e-9
-
-
-class PipelineError(RuntimeError):
-    """A pipeline stage failed; ``stage`` names it."""
-
-    def __init__(self, stage: str, message: str):
-        super().__init__(f"[{stage}] {message}")
-        self.stage = stage
 
 
 @dataclass(frozen=True)
@@ -79,7 +72,7 @@ def _solve_hitting_lp(g: WeightedGraph, rows: np.ndarray) -> tuple[np.ndarray, f
         method="highs",
     )
     if not res.success:
-        raise PipelineError("hitting", f"LP solve failed: {res.message}")
+        raise StageError("hitting", f"LP solve failed: {res.message}")
     return res.x, float(res.fun)
 
 
@@ -136,7 +129,7 @@ def reduce_to_fvsp(
     inst = FvspInstance(icd.n_nodes, icd.arcs, icd.node_weights)
     violation = validate_instance(inst)
     if violation is not None:
-        raise PipelineError("reduce", f"ICD is not a valid instance: {violation}")
+        raise StageError("reduce", f"ICD is not a valid instance: {violation}")
     return icd, inst
 
 
@@ -177,16 +170,16 @@ def solve_ptolemaic_deletion(
     """Run both stages and verify the remainder with both recognizers."""
     hitting = hit_c4_gem(g)
     g_prime, kept = g.delete(hitting.deleted)
+    stage = "reduce"
     try:
         icd, inst = reduce_to_fvsp(g_prime)
-    except PipelineError:
-        raise
-    except Exception as exc:  # structural failures carry their stage tag
-        raise PipelineError("reduce", str(exc)) from exc
-    try:
+        stage = "fvsp"
         fvsp_sol = solve_fvsp(inst, params)
-    except Exception as exc:
-        raise PipelineError("fvsp", str(exc)) from exc
+    except StageError:
+        raise
+    except Exception as exc:  # any other failure: its stage, and its type
+        detail = f"{type(exc).__name__}: {exc}" if str(exc) else type(exc).__name__
+        raise StageError(stage, detail) from exc
     lifted_local = lift(icd, fvsp_sol.deleted)
     lifted = vset(kept[v] for v in lifted_local)
     deleted = vset(set(hitting.deleted) | set(lifted))
@@ -194,7 +187,7 @@ def solve_ptolemaic_deletion(
     ok_scan, _obstruction = is_ptolemaic(remainder)
     ok_icd = is_ptolemaic_via_icd(remainder)
     if not (ok_scan and ok_icd):
-        raise PipelineError("verify", "remainder failed a ptolemaic recognizer")
+        raise StageError("verify", "remainder failed a ptolemaic recognizer")
     return PipelineResult(
         deleted=deleted,
         weight=g.weight_of(deleted),

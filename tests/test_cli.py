@@ -3,13 +3,16 @@
 import argparse
 import json
 import random
+import re
+from types import SimpleNamespace
 
 import pytest
 
 from generators import complete_multipartite, random_graph
+from ptodel import fvsp, graphs, pipeline
 from ptodel.cli import build_parser, main
 from ptodel.fixtures import cycle_graph, fixture_graph, path_graph
-from ptodel.graphs import format_graph, parse_graph
+from ptodel.graphs import MAX_HEADER_N, format_graph, parse_graph
 from ptodel.fvsp import FvspInstance, format_instance
 
 
@@ -316,7 +319,7 @@ class TestCheck:
     def test_invalid_fvsp_instance_exits_3_as_fvsp_does(self, tmp_path, capsys):
         ipath = write(tmp_path, "cyc.fv", "d 3 3\na 0 1\na 1 2\na 2 0\n")
         spath = write(tmp_path, "sol.json", json.dumps([0, 1, 2]))
-        line = "error: invalid instance: cycle at node 0\n"
+        line = "error: [fvsp] invalid instance: cycle at node 0\n"
         assert run(capsys, "check", ipath, "--solution", spath) == (3, "", line)
         assert run(capsys, "fvsp", ipath) == (3, "", line)
 
@@ -393,6 +396,60 @@ def test_trailing_tokens_exit_2(tmp_path, capsys, command, text, line):
     # the same file without the extra token is read
     path = write(tmp_path, "ok.txt", text.replace(raw, " ".join(raw.split()[:3])))
     assert run(capsys, command, path)[0] == 0
+
+
+@pytest.mark.parametrize(
+    "command, text, noun",
+    [("solve", "p 1000000000 0\n", "vertex"), ("fvsp", "d 1000000000 0\n", "node")],
+)
+def test_header_over_the_cap_exits_2(tmp_path, capsys, command, text, noun):
+    # rejected from the header, before anything n-sized is built
+    path = write(tmp_path, "in.txt", text)
+    line = f"error: line 1: {noun} count 1000000000 exceeds {MAX_HEADER_N}\n"
+    assert run(capsys, command, path) == (2, "", line)
+
+
+def _lp_refused(*args, **kwargs):
+    return SimpleNamespace(success=False, message="refused")
+
+
+CYCLIC_FV = "d 3 3\na 0 1\na 1 2\na 2 0\n"
+C5_GR = format_graph(cycle_graph(5))
+
+
+# every path to exit 3: (argv after the input, input, solution, patches, stage)
+EXIT_3_PATHS = {
+    "fvsp-invalid-instance": (["fvsp"], CYCLIC_FV, None, [], "fvsp"),
+    "check-invalid-instance": (["check"], CYCLIC_FV, "[0, 1, 2]", [], "fvsp"),
+    "icd-gem": (["icd"], format_graph(fixture_graph("gem")), None, [], "reduce"),
+    "solve-hitting-lp-refused": (
+        ["solve"], format_graph(cycle_graph(4)), None,
+        [(pipeline, "linprog", _lp_refused)], "hitting",
+    ),
+    "solve-fvsp-lp-refused": (
+        ["solve"], C5_GR, None, [(fvsp, "linprog", _lp_refused)], "fvsp"
+    ),
+    "check-hole-search-disagrees": (
+        ["check"], C5_GR, "[]", [(graphs, "_shortest_hole", lambda g: None)], "verify"
+    ),
+    "solve-verify": (
+        ["solve"], C5_GR, None, [(pipeline, "lift", lambda icd, nodes: ())], "verify"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", EXIT_3_PATHS)
+def test_every_exit_3_is_one_tagged_line(tmp_path, capsys, monkeypatch, case):
+    argv, text, solution, patches, stage = EXIT_3_PATHS[case]
+    argv = argv + [write(tmp_path, "in.txt", text)]
+    if solution is not None:
+        argv += ["--solution", write(tmp_path, "sol.json", solution)]
+    for module, name, value in patches:
+        monkeypatch.setattr(module, name, value)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (3, "") and err.count("\n") == 1
+    assert re.match(r"^error: \[(hitting|reduce|fvsp|verify)\] \S", err), err
+    assert err.startswith(f"error: [{stage}] ")
 
 
 class TestOptions:

@@ -29,9 +29,7 @@ from ptodel.fvsp import (
     FvspFormatError,
     FvspInstance,
     InstanceViolation,
-    LpSolveError,
     RoundingParams,
-    StructureError,
     build_lp,
     cleanup_unicyclic,
     derandomize,
@@ -45,7 +43,7 @@ from ptodel.fvsp import (
     validate_instance,
     verify_fvsp_solution,
 )
-from ptodel.graphs import _bits_to_list, union_find
+from ptodel.graphs import StageError, _bits_to_list, union_find
 from ptodel.lattice import build_icd
 from ptodel.oracle import exact_fvsp
 from ptodel.pipeline import hit_c4_gem, reduce_to_fvsp
@@ -195,7 +193,7 @@ class TestLpModel:
                 self.x = np.zeros(len(c))
 
         monkeypatch.setattr(fvsp, "linprog", lambda c, **kw: Zeros(c))
-        with pytest.raises(LpSolveError, match="LP residual 1.000e"):
+        with pytest.raises(StageError, match="LP residual 1.000e"):
             solve_lp(build_lp(ST))
 
     def test_forest_needs_no_solve(self, monkeypatch):
@@ -351,10 +349,10 @@ class TestCleanup:
         theta_shape = FvspInstance(
             4, [(0, 1), (0, 2), (0, 3), (1, 3), (2, 3), (1, 2)], [1.0] * 4
         )
-        with pytest.raises(StructureError) as info:
+        with pytest.raises(StageError) as info:
             cleanup_unicyclic(theta_shape, range(4))
         assert str(info.value) == (
-            "remainder component with 4 nodes and 6 edges has more than one "
+            "[fvsp] remainder component with 4 nodes and 6 edges has more than one "
             "cycle; rounding bug"
         )
 
@@ -363,10 +361,10 @@ class TestCleanup:
         arcs = [(0, 2), (1, 2), (1, 3), (0, 3)]
         arcs += [(4, 5), (4, 6), (5, 7), (6, 7), (4, 7), (7, 8)]
         inst = FvspInstance(9, arcs, [1.0] * 9)
-        with pytest.raises(StructureError) as info:
+        with pytest.raises(StageError) as info:
             cleanup_unicyclic(inst, range(9))
         assert str(info.value) == (
-            "remainder component with 5 nodes and 6 edges has more than one "
+            "[fvsp] remainder component with 5 nodes and 6 edges has more than one "
             "cycle; rounding bug"
         )
 
@@ -376,7 +374,7 @@ class TestCleanup:
         odd = [(1, 3), (1, 5), (3, 7), (5, 7), (1, 7), (7, 9)]
         even = [(0, 2), (0, 4), (0, 6), (2, 6), (4, 6), (2, 4)]
         inst = FvspInstance(10, odd + even, [1.0] * 10)
-        with pytest.raises(StructureError) as info:
+        with pytest.raises(StageError) as info:
             cleanup_unicyclic(inst, range(10))
         assert "with 4 nodes and 6 edges" in str(info.value)
 
@@ -446,7 +444,7 @@ class TestSolve:
 
     def test_invalid_instance_rejected(self):
         bad = FvspInstance(4, [(0, 1), (0, 2), (1, 3), (2, 3)], [1.0] * 4)
-        with pytest.raises(StructureError):
+        with pytest.raises(StageError):
             solve_fvsp(bad)
 
     def test_stage_weights_sum(self):
@@ -671,6 +669,8 @@ class TestInstanceFormat:
             ("d 1 0\nd 1 0\n", "line 2: duplicate header"),
             ("d 1 0\nn 0 -2\n", "node weights must be finite and nonnegative"),
             ("d 1 0\nn 0 inf\n", "node weights must be finite and nonnegative"),
+            ("d 1000001 0\n", "line 1: node count 1000001 exceeds 1000000"),
+            ("d 2 0\nn 1 2\nn 1 3\n", "line 3: duplicate weight for node 1"),
         ],
     )
     def test_malformed_message(self, text, message):

@@ -417,12 +417,18 @@ class TestGraphFormat:
             ("p 2 0\nv 7 1.0\n", "line 2: vertex 7 out of range"),
             ("p 2 0\np 2 0\n", "line 2: duplicate header"),
             ("p 1 0\nv 0 nan\n", "vertex weights must be finite and nonnegative"),
+            ("p 1000001 0\n", "line 1: vertex count 1000001 exceeds 1000000"),
+            ("p 2 0\nv 0 5\nv 0 7\n", "line 3: duplicate weight for vertex 0"),
+            ("p 2 0\nv 1\nv 1 1.0\n", "line 3: duplicate weight for vertex 1"),
         ],
     )
     def test_malformed_message(self, text, message):
         with pytest.raises(GraphFormatError) as info:
             parse_graph(text)
         assert str(info.value) == message
+
+    def test_header_at_the_cap_is_read(self):
+        assert parse_graph(f"p {graphs.MAX_HEADER_N} 0\n").n == graphs.MAX_HEADER_N
 
 
 class TestWeightedGraphBasics:

@@ -21,6 +21,7 @@ from ptodel.fixtures import complete_graph, cycle_graph, fixture_graph, path_gra
 from ptodel.fvsp import FvspInstance, validate_instance
 from ptodel.graphs import (
     BudgetExceededError,
+    StageError,
     WeightedGraph,
     _mask_of,
     find_hole,
@@ -30,7 +31,6 @@ from ptodel.graphs import (
     maximal_cliques,
 )
 from ptodel.lattice import (
-    IcdStructureError,
     InterCliqueDigraph,
     brute_force_icd,
     build_icd,
@@ -96,8 +96,8 @@ class TestBuildExamples:
 
     def test_gem_is_rejected(self):
         with pytest.raises(
-            IcdStructureError,
-            match=r"^per-maximal-clique family is not an out-tree: \(\d+, \d+, \d+\); ",
+            StageError,
+            match=r"^\[reduce\] per-maximal-clique family is not an out-tree: \(\d+, \d+, \d+\); ",
         ):
             build_icd(fixture_graph("gem"))
 
@@ -262,12 +262,12 @@ class TestOracleEquivalence:
             one_round.discard(0)
             if family != one_round:
                 multi += 1
-                with pytest.raises(IcdStructureError):
+                with pytest.raises(StageError):
                     build_icd(g)
             else:
                 try:
                     fast = build_icd(g)
-                except IcdStructureError:
+                except StageError:
                     continue
                 assert icd_equivalent(fast, oracle)
         assert multi >= 20
@@ -283,7 +283,7 @@ class TestOracleEquivalence:
         vertex seeds; returns whether it raised."""
         try:
             icd = build_icd(g)
-        except IcdStructureError:
+        except StageError:
             return True
         seeds = [
             sum(1 << m for m, mc in enumerate(icd.max_cliques) if v in mc)
@@ -529,10 +529,10 @@ class TestPtolemaicViaIcd:
             20, [(u, v) for u in range(20) for v in range(u + 1, 20) if v != u ^ 1]
         )
         assert is_ptolemaic_via_icd(g) is False
-        with pytest.raises(IcdStructureError) as direct:
+        with pytest.raises(StageError) as direct:
             build_icd(g)
         assert str(direct.value) == (
-            "more than 400 maximal cliques on 20 vertices; input is not C4-free"
+            "[reduce] more than 400 maximal cliques on 20 vertices; input is not C4-free"
         )
 
     def test_agrees_with_obstruction_scan(self):
@@ -552,7 +552,7 @@ class TestPtolemaicViaIcd:
             checked += 1
             try:
                 build_icd(g)
-            except IcdStructureError:
+            except StageError:
                 raised += 1
             verdict = is_ptolemaic(g)[0]
             assert is_ptolemaic_via_icd(g) == verdict, g.edges

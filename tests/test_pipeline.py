@@ -13,22 +13,22 @@ from helpers_brute import (
     hitting_lp_brute,
     remainder_is_forest,
 )
-from ptodel import fvsp, pipeline
+from ptodel import fvsp, lattice, pipeline
 from ptodel.cli import main
 from ptodel.fixtures import complete_graph, cycle_graph, fixture_graph, path_graph
 from ptodel.fvsp import FvspInstance, InstanceViolation
 from ptodel.graphs import (
+    StageError,
     WeightedGraph,
     find_induced_c4,
     find_induced_gem,
     format_graph,
     is_ptolemaic,
 )
-from ptodel.lattice import IcdStructureError, build_icd, is_ptolemaic_via_icd
+from ptodel.lattice import build_icd, is_ptolemaic_via_icd
 from ptodel.oracle import exact_c4gem_hitting, exact_fvsp, exact_ptolemaic_deletion
 from ptodel.pipeline import (
     HittingResult,
-    PipelineError,
     enumerate_obstructions,
     hit_c4_gem,
     lift,
@@ -206,15 +206,36 @@ class TestReduction:
         assert inst.n == 0 and inst.m == 0
 
     def test_invalid_instance_tagged_once(self, monkeypatch):
-        # reduce_to_fvsp raises its own PipelineError; the wrapper in
+        # reduce_to_fvsp raises its own StageError; the wrapper in
         # solve_ptolemaic_deletion must pass it on, not tag it again
         monkeypatch.setattr(
             pipeline, "validate_instance", lambda inst: InstanceViolation("cycle", 0)
         )
-        with pytest.raises(PipelineError) as info:
+        with pytest.raises(StageError) as info:
             solve_ptolemaic_deletion(path_graph(3))
         assert info.value.stage == "reduce"
         assert str(info.value) == "[reduce] ICD is not a valid instance: cycle at node 0"
+
+    @pytest.mark.parametrize(
+        "exc, line",
+        [
+            (MemoryError(), "error: [reduce] MemoryError\n"),
+            (MemoryError("no room"), "error: [reduce] MemoryError: no room\n"),
+        ],
+    )
+    def test_other_failure_tagged_with_its_type(
+        self, monkeypatch, tmp_path, capsys, exc, line
+    ):
+        # an exception that is not a StageError still reaches main tagged
+        # with its stage, and the line names its type even when it is bare
+        def exhausted(g, limit=None):
+            raise exc
+
+        monkeypatch.setattr(lattice, "maximal_cliques", exhausted)
+        gr = tmp_path / "g.gr"
+        gr.write_text(format_graph(path_graph(3)))
+        assert main(["solve", str(gr)]) == 3
+        assert capsys.readouterr() == ("", line)
 
     def test_solve_checks_each_instance_once(self, monkeypatch):
         # reduce_to_fvsp and solve_fvsp both ask; the second answer is cached
@@ -374,9 +395,9 @@ class TestEndToEnd:
         gem = fixture_graph("gem")
         path = [(gem.n + i, gem.n + i + 1) for i in range(19)]
         g = WeightedGraph(gem.n + 20, list(gem.edges) + path)
-        with pytest.raises(IcdStructureError):
+        with pytest.raises(StageError):
             build_icd(g)
-        with pytest.raises(PipelineError) as info:
+        with pytest.raises(StageError) as info:
             solve_ptolemaic_deletion(g)
         assert info.value.stage == "verify"
         gr = tmp_path / "g.gr"
