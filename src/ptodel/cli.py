@@ -188,11 +188,18 @@ def cmd_check(args: argparse.Namespace) -> int:
 def cmd_gen(args: argparse.Namespace) -> int:
     weights = None
     if args.weights:
-        lo, hi = (float(t) for t in args.weights.split(","))
+        parts = args.weights.split(",")
+        if len(parts) != 2:
+            raise ValueError(f"--weights must be 'lo,hi': {args.weights!r}")
+        lo, hi = (float(t) for t in parts)
+        if not lo <= hi:
+            raise ValueError(f"--weights must have lo <= hi: {args.weights!r}")
         weights = (lo, hi)
     if args.fixture:
         g = fixtures.fixture_graph(args.fixture)
     else:
+        if not 0.0 <= args.p <= 1.0:
+            raise ValueError(f"--p must lie in [0, 1]: {args.p!r}")
         g = fixtures.erdos_renyi(args.random, args.p, args.seed, weights)
     print(format_graph(g), end="")
     return EXIT_OK

@@ -9,9 +9,10 @@ most 63 times the optimum.
 The solver relaxes the problem to a linear program with a deletion variable
 z_v per node and a pair of orientation variables per arc.  Any optimum will
 do, so the LP is solved only on the instance's kernel: nodes with at most one
-neighbour are peeled down to the 2-core, and kernel sources get no z column.
-The kernel optimum lifts back exactly to an optimum of the full LP, which is
-checked row by row.  The solver then derandomizes a threshold rounding:
+neighbour are peeled down to the 2-core, kernel sources get no z column, and
+each arc's equality row eliminates its head variable, so only inequality rows
+remain.  The kernel optimum lifts back exactly to an optimum of the full LP,
+which is checked row by row.  The solver then derandomizes a threshold rounding:
 candidate thresholds are the arc breakpoints inside [alpha, beta] plus
 midpoints, every candidate is rounded and cleaned up, and the cheapest
 outcome wins.  After rounding, each remaining component contains at most
@@ -252,18 +253,18 @@ def _peel(
 
 @dataclass(frozen=True)
 class LpModel:
-    """The LP over the instance's kernel.  Column layout: z of each node in
-    ``z_nodes`` in turn, then x_tail, x_head of each arc in ``kernel_arcs``
-    (arc indices into ``inst.arcs``) in turn.  ``peeled`` lists removed
-    nodes in peel order with their link arcs, as ``_peel`` returns them."""
+    """The LP over the instance's kernel, in inequality form only.  Column
+    layout: z of each node in ``z_nodes`` in turn, then x_tail of each arc in
+    ``kernel_arcs`` (arc indices into ``inst.arcs``) in turn.  An arc's
+    x_head has no column: its equality row fixes it to 1 - z_head - x_tail.
+    ``peeled`` lists removed nodes in peel order with their link arcs, as
+    ``_peel`` returns them."""
 
     inst: FvspInstance
     z_nodes: np.ndarray
     kernel_arcs: np.ndarray
     peeled: tuple[tuple[int, int], ...]
     c: np.ndarray
-    a_eq: np.ndarray
-    b_eq: np.ndarray
     a_ub: np.ndarray
     b_ub: np.ndarray
 
@@ -272,7 +273,7 @@ def build_lp(inst: FvspInstance) -> LpModel:
     """LP relaxation over the kernel.  The full LP has per arc e=(u,v) an
     equality z_v + x_ue + x_ve = 1, per node a capacity z_v + sum of its
     incident x_ve <= 1, per arc the precedence z_u <= z_v, everything boxed
-    to [0, 1].  Two reductions keep its optimum value:
+    to [0, 1].  Three reductions keep its optimum value:
 
     - pendant nodes are peeled down to the 2-core; a pendant head's weight
       moves to its neighbour, because z_p >= z_q on every feasible point and
@@ -280,7 +281,15 @@ def build_lp(inst: FvspInstance) -> LpModel:
     - a kernel node with no kernel in-arc (a source) gets no z column: its z
       is the head of no equality row and has coefficient +1 in each
       inequality and in the objective, so z = 0 loses nothing.  Its
-      precedence rows go with the column.
+      precedence rows go with the column;
+    - each equality row eliminates its x_head = 1 - z_v - x_tail.  Node w's
+      capacity row becomes (1 - d_in(w)) z_w + (sum of x_tail over its
+      out-arcs) - (sum of x_tail over its in-arcs) <= 1 - d_in(w), with
+      d_in the kernel in-degree; x_head >= 0 becomes the row
+      z_v + x_tail <= 1, and x_head <= 1 follows from the bounds.
+
+    The rows are the capacities of the kernel nodes, then the x_head >= 0
+    row of each kernel arc, then the precedence rows.
     """
     core, peeled = _peel(inst.n, inst.arcs)
     weight = list(inst.weights)
@@ -296,33 +305,31 @@ def build_lp(inst: FvspInstance) -> LpModel:
     row[kernel_nodes] = np.arange(len(kernel_nodes))
     col = np.full(inst.n, -1, dtype=np.intp)
     col[z_nodes] = np.arange(len(z_nodes))
-    k, m = len(z_nodes), len(core)
-    nv = k + 2 * m
-    c = np.zeros(nv)
+    k, m, nk = len(z_nodes), len(core), len(kernel_nodes)
+    c = np.zeros(k + m)
     c[:k] = np.array(weight)[z_nodes]
     j = np.arange(m)
-    x_tail, x_head = k + 2 * j, k + 2 * j + 1
-    a_eq = np.zeros((m, nv))
-    b_eq = np.ones(m)
-    a_eq[j, col[heads]] = 1.0
-    a_eq[j, x_tail] = 1.0
-    a_eq[j, x_head] = 1.0
+    x_tail = k + j
     prec = np.flatnonzero(col[tails] >= 0)  # arcs whose tail has a z column
-    nk = len(kernel_nodes)
-    a_ub = np.zeros((nk + len(prec), nv))
-    b_ub = np.ones(nk + len(prec))
-    # every x column belongs to one arc, so no cell below is written twice
+    a_ub = np.zeros((nk + m + len(prec), k + m))
+    b_ub = np.ones(nk + m + len(prec))
+    # capacity rows; an arc's tail and head are distinct rows
+    d_in = np.bincount(row[heads], minlength=nk)
     a_ub[row[tails], x_tail] = 1.0
-    a_ub[row[heads], x_head] = 1.0
-    a_ub[row[z_nodes], np.arange(k)] = 1.0
+    a_ub[row[heads], x_tail] = -1.0
+    a_ub[row[z_nodes], np.arange(k)] = 1.0 - d_in[row[z_nodes]]
+    b_ub[:nk] = 1.0 - d_in
+    # x_head >= 0 rows: z_v + x_tail <= 1
+    a_ub[nk + j, col[heads]] = 1.0
+    a_ub[nk + j, x_tail] = 1.0
     # precedence rows: z_u - z_v <= 0
-    r = nk + np.arange(len(prec))
+    r = nk + m + np.arange(len(prec))
     a_ub[r, col[tails[prec]]] = 1.0
     a_ub[r, col[heads[prec]]] = -1.0
-    b_ub[nk:] = 0.0
+    b_ub[nk + m :] = 0.0
     return LpModel(
         inst=inst, z_nodes=z_nodes, kernel_arcs=kernel_arcs, peeled=peeled,
-        c=c, a_eq=a_eq, b_eq=b_eq, a_ub=a_ub, b_ub=b_ub,
+        c=c, a_ub=a_ub, b_ub=b_ub,
     )
 
 
@@ -341,8 +348,9 @@ def solve_lp(model: LpModel) -> FvspLpSolution:
     """Solve the kernel LP to optimality with the HiGHS backend
     (deterministic for a fixed model; no solve when the kernel has no arcs)
     and lift the optimum to an optimum of the full LP.  Source z columns
-    are 0.  Peeled nodes are lifted in reverse peel order, each against its
-    link arc's other end q, which is settled by then:
+    are 0, and each kernel arc's x_head is 1 - z_head - x_tail.  Peeled
+    nodes are lifted in reverse peel order, each against its link arc's
+    other end q, which is settled by then:
 
     - pendant tail p (arc p->q): z_p = 0, x_tail = 1 - z_q, x_head = 0;
     - pendant head p (arc q->p): z_p = z_q, x_tail = 0, x_head = 1 - z_q.
@@ -353,6 +361,8 @@ def solve_lp(model: LpModel) -> FvspLpSolution:
     above 1e-8 (the instance itself is always feasible: all-z=1 works)."""
     inst = model.inst
     n, m, k = inst.n, inst.m, len(model.z_nodes)
+    arcs = np.array(inst.arcs, dtype=np.intp).reshape(m, 2)
+    tails, heads = arcs[:, 0], arcs[:, 1]
     z, x_tail, x_head = np.zeros(n), np.zeros(m), np.zeros(m)
     objective = 0.0
     if len(model.kernel_arcs):
@@ -360,16 +370,14 @@ def solve_lp(model: LpModel) -> FvspLpSolution:
             model.c,
             A_ub=model.a_ub,
             b_ub=model.b_ub,
-            A_eq=model.a_eq,
-            b_eq=model.b_eq,
             bounds=(0.0, 1.0),
             method="highs",
         )
         if not res.success:
             raise StageError("fvsp", f"LP solve failed: {res.message}")
         z[model.z_nodes] = res.x[:k]
-        x_tail[model.kernel_arcs] = res.x[k::2]
-        x_head[model.kernel_arcs] = res.x[k + 1 :: 2]
+        x_tail[model.kernel_arcs] = res.x[k:]
+        x_head[model.kernel_arcs] = 1.0 - z[heads[model.kernel_arcs]] - res.x[k:]
         objective = float(res.fun)
     zs, xts, xhs = z.tolist(), x_tail.tolist(), x_head.tolist()
     for p, j in reversed(model.peeled):
@@ -381,8 +389,6 @@ def solve_lp(model: LpModel) -> FvspLpSolution:
             xhs[j] = 1.0 - zs[u]
     z, x_tail, x_head = np.array(zs), np.array(xts), np.array(xhs)
     # residual of every row of the full LP, then of the bounds
-    arcs = np.array(inst.arcs, dtype=np.intp).reshape(m, 2)
-    tails, heads = arcs[:, 0], arcs[:, 1]
     load = z + np.bincount(tails, x_tail, n) + np.bincount(heads, x_head, n)
     values = np.concatenate([z, x_tail, x_head])
     resid = max(

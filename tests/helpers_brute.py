@@ -15,6 +15,7 @@ the closure of source masks under intersection (``close_sources``) that
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Optional
 
@@ -27,7 +28,6 @@ from ptodel.fvsp import (
     FvspLpSolution,
     FvspSolution,
     InstanceViolation,
-    LpModel,
     RoundingParams,
     cleanup_unicyclic,
     round_at,
@@ -405,9 +405,22 @@ def cleanup_brute(inst: FvspInstance, remaining) -> frozenset[int]:
     return frozenset(removed)
 
 
-def build_lp_loop(inst: FvspInstance) -> LpModel:
-    """The paper's full LP, filled arc by arc: every node has a z column and
-    every arc is a kernel arc, with nothing peeled."""
+@dataclass(frozen=True)
+class FullLp:
+    """The paper's full FVSP LP.  Column layout: z of every node, then
+    x_tail, x_head of every arc in turn; one equality row per arc."""
+
+    c: np.ndarray
+    a_eq: np.ndarray
+    b_eq: np.ndarray
+    a_ub: np.ndarray
+    b_ub: np.ndarray
+
+
+def build_lp_loop(inst: FvspInstance) -> FullLp:
+    """The paper's full LP, filled arc by arc: a z column for every node and
+    both orientation columns for every arc, with nothing peeled or
+    eliminated."""
     n, m = inst.n, inst.m
     nv = n + 2 * m
     c = np.zeros(nv)
@@ -428,10 +441,7 @@ def build_lp_loop(inst: FvspInstance) -> LpModel:
         b_ub[n + j] = 0.0
     for v in range(n):
         a_ub[v, v] = 1.0
-    return LpModel(
-        inst=inst, z_nodes=np.arange(n), kernel_arcs=np.arange(m), peeled=(),
-        c=c, a_eq=a_eq, b_eq=b_eq, a_ub=a_ub, b_ub=b_ub,
-    )
+    return FullLp(c=c, a_eq=a_eq, b_eq=b_eq, a_ub=a_ub, b_ub=b_ub)
 
 
 def derandomize_every_theta(

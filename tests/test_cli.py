@@ -354,6 +354,22 @@ class TestGen:
         assert (code, out) == (2, "")
         assert err == "error: could not convert string to float: 'x'\n"
 
+    @pytest.mark.parametrize(
+        "extra, line",
+        [
+            (["--p", "2"], "--p must lie in [0, 1]: 2.0"),
+            (["--p", "-0.1"], "--p must lie in [0, 1]: -0.1"),
+            (["--p", "nan"], "--p must lie in [0, 1]: nan"),
+            (["--weights", "5,1"], "--weights must have lo <= hi: '5,1'"),
+            (["--weights", "nan,1"], "--weights must have lo <= hi: 'nan,1'"),
+            (["--weights", "1,2,3"], "--weights must be 'lo,hi': '1,2,3'"),
+            (["--weights", "7"], "--weights must be 'lo,hi': '7'"),
+        ],
+    )
+    def test_bad_random_options_exit_2(self, capsys, extra, line):
+        code, out, err = run(capsys, "gen", "--random", "6", *extra)
+        assert (code, out, err) == (2, "", f"error: {line}\n")
+
     def test_unknown_fixture_exit_2(self, capsys):
         code, _, err = run(capsys, "gen", "--fixture", "nonsense")
         assert code == 2 and "unknown fixture" in err

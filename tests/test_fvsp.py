@@ -128,11 +128,13 @@ class TestValidate:
 class TestLpModel:
     def test_variable_and_constraint_counts(self):
         # ST is its own kernel; the sources 0 and 1 lose their z columns and,
-        # being the tail of every arc, all four precedence rows
+        # being the tail of every arc, all four precedence rows.  Each arc's
+        # equality row eliminates its x_head: 2 z + 4 x_tail columns, and
+        # 4 capacity rows plus 4 x_head >= 0 rows
         model = build_lp(ST)
-        assert len(model.c) == 10
-        assert model.a_eq.shape == (4, 10)
-        assert model.a_ub.shape == (4, 10)
+        assert len(model.c) == 6
+        assert model.a_ub.shape == (8, 6)
+        assert not hasattr(model, "a_eq")
 
     def test_forest_optimum_zero(self):
         assert solve_lp(build_lp(FOREST)).objective == pytest.approx(0.0, abs=1e-9)
@@ -186,7 +188,9 @@ class TestLpModel:
         assert kernels >= 20, kernels
 
     def test_bad_solver_point_fails_the_full_rows(self, monkeypatch):
-        class Zeros:  # "optimal", yet every equality row of ST reads 0 = 1
+        # "optimal", yet x = 0 makes every x_head of ST read 1, so both
+        # heads' capacity rows read 2 <= 1
+        class Zeros:
             success, fun, message = True, 0.0, ""
 
             def __init__(self, c):

@@ -466,19 +466,24 @@ class TestSolutionCorrespondence:
                 )
 
 
+def _load_tracer():
+    import importlib.util
+    from pathlib import Path
+
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer_mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer_mod)
+    return tracer_mod
+
+
 class TestBenchmarkTracer:
     def test_install_finds_every_name_and_unpatch_restores_it(self):
         # perfbench/tracer.py wraps module-level names by getattr, so renaming
         # or dropping one of them breaks the benchmark's traced runs
-        import importlib.util
-        from pathlib import Path
-
         from ptodel import cli, graphs, lattice
 
-        path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
-        spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
-        tracer_mod = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(tracer_mod)
+        tracer_mod = _load_tracer()
         modules = (cli, fvsp, graphs, lattice, pipeline)
         before = [dict(vars(m)) for m in modules]
         tracer = tracer_mod.Tracer()
@@ -498,3 +503,22 @@ class TestBenchmarkTracer:
             now = vars(m)
             assert now.keys() == old.keys()
             assert [k for k in old if now[k] is not old[k]] == [], m.__name__
+
+    def test_fvsp_lp_counts_match_the_model(self):
+        # the LP hook reads c from linprog's first positional argument and
+        # counts the dense A_ub / A_eq it is given, so a change to the call
+        # that the hook cannot read fails here
+        import numpy as np
+
+        g = fixture_graph("cycle5")
+        model = fvsp.build_lp(reduce_to_fvsp(g)[1])
+        assert len(model.kernel_arcs) > 0
+        tracer = _load_tracer().Tracer()
+        with tracer.patched():
+            solve_ptolemaic_deletion(g)
+        counts: dict[str, list[float]] = {}
+        for _, name, value in tracer.counts:
+            counts.setdefault(name, []).append(value)
+        assert counts["fvsp.lp_cols"] == [len(model.c)]
+        assert counts["fvsp.lp_rows"] == [model.a_ub.shape[0]]
+        assert counts["fvsp.lp_nnz"] == [np.count_nonzero(model.a_ub)]
