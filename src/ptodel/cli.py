@@ -154,7 +154,10 @@ def _deleted_ids(solution: object, n: int) -> list[int]:
 
 def cmd_check(args: argparse.Namespace) -> int:
     text = _read(args.input)
-    solution = json.loads(_read(args.solution))
+    try:
+        solution = json.loads(_read(args.solution))
+    except RecursionError:  # a bad input, like any other malformed JSON
+        raise ValueError("solution nests JSON too deeply") from None
     if first_record_tag(text) == "d":
         inst = parse_instance(text)
         violation = validate_instance(inst)

@@ -12,9 +12,10 @@ do, so the LP is solved only on the instance's kernel: nodes with at most one
 neighbour are peeled down to the 2-core, kernel sources get no z column, and
 each arc's equality row eliminates its head variable, so only inequality rows
 remain.  The kernel optimum lifts back exactly to an optimum of the full LP,
-which is checked row by row.  The solver then derandomizes a threshold rounding:
-candidate thresholds are the arc breakpoints inside [alpha, beta] plus
-midpoints, every candidate is rounded and cleaned up, and the cheapest
+which is checked row by row against ``LP_RESIDUAL_TOL``, the module's one
+tolerance.  The solver then derandomizes a threshold rounding that compares
+exactly: candidate thresholds are the arc breakpoints inside [alpha, beta]
+plus midpoints, every candidate is rounded and cleaned up, and the cheapest
 outcome wins.  After rounding, each remaining component contains at most
 one cycle.  The cleanup finds it with the same 2-core peel as the LP kernel
 and breaks it at the lightest closure, comparing weights exactly.
@@ -34,8 +35,6 @@ from scipy.optimize import linprog
 
 from .graphs import StageError, _bits_to_list, _mask_of, read_records, union_find
 
-STEP1_TOL = 1e-9
-INTERVAL_TOL = 1e-12
 LP_RESIDUAL_TOL = 1e-8
 
 
@@ -348,22 +347,24 @@ def solve_lp(model: LpModel) -> FvspLpSolution:
     """Solve the kernel LP to optimality with the HiGHS backend
     (deterministic for a fixed model; no solve when the kernel has no arcs)
     and lift the optimum to an optimum of the full LP.  Source z columns
-    are 0, and each kernel arc's x_head is 1 - z_head - x_tail.  Peeled
-    nodes are lifted in reverse peel order, each against its link arc's
-    other end q, which is settled by then:
+    are 0.  Peeled nodes are lifted in reverse peel order, each against its
+    link arc's other end q, which is settled by then:
 
-    - pendant tail p (arc p->q): z_p = 0, x_tail = 1 - z_q, x_head = 0;
-    - pendant head p (arc q->p): z_p = z_q, x_tail = 0, x_head = 1 - z_q.
+    - pendant tail p (arc p->q): z_p = 0, x_tail = 1 - z_q;
+    - pendant head p (arc q->p): z_p = z_q, x_tail = 0.
 
-    A node removed without a live neighbour keeps z = 0.
+    A node removed without a live neighbour keeps z = 0.  Each arc's x_head
+    then comes from its equality row, 1 - z_head - x_tail.
 
     Raises an ``fvsp`` StageError on solver failure or a full-LP residual
-    above 1e-8 (the instance itself is always feasible: all-z=1 works)."""
+    above ``LP_RESIDUAL_TOL``, the module's one tolerance (the instance itself
+    is always feasible: all-z=1 works).  The values are then clipped into
+    [0, 1], and the rounding compares them exactly."""
     inst = model.inst
     n, m, k = inst.n, inst.m, len(model.z_nodes)
     arcs = np.array(inst.arcs, dtype=np.intp).reshape(m, 2)
     tails, heads = arcs[:, 0], arcs[:, 1]
-    z, x_tail, x_head = np.zeros(n), np.zeros(m), np.zeros(m)
+    z, x_tail = np.zeros(n), np.zeros(m)
     objective = 0.0
     if len(model.kernel_arcs):
         res = linprog(
@@ -377,17 +378,16 @@ def solve_lp(model: LpModel) -> FvspLpSolution:
             raise StageError("fvsp", f"LP solve failed: {res.message}")
         z[model.z_nodes] = res.x[:k]
         x_tail[model.kernel_arcs] = res.x[k:]
-        x_head[model.kernel_arcs] = 1.0 - z[heads[model.kernel_arcs]] - res.x[k:]
         objective = float(res.fun)
-    zs, xts, xhs = z.tolist(), x_tail.tolist(), x_head.tolist()
+    zs, xts = z.tolist(), x_tail.tolist()
     for p, j in reversed(model.peeled):
         u, v = inst.arcs[j]
         if p == u:
             xts[j] = 1.0 - zs[v]
         else:
             zs[p] = zs[u]
-            xhs[j] = 1.0 - zs[u]
-    z, x_tail, x_head = np.array(zs), np.array(xts), np.array(xhs)
+    z, x_tail = np.array(zs), np.array(xts)
+    x_head = 1.0 - z[heads] - x_tail  # each arc's equality row
     # residual of every row of the full LP, then of the bounds
     load = z + np.bincount(tails, x_tail, n) + np.bincount(heads, x_head, n)
     values = np.concatenate([z, x_tail, x_head])
@@ -458,12 +458,13 @@ def round_at(
     against the original LP values: if theta falls in the arc's closed
     deletion interval the head and all its descendants are removed (deletion
     wins at breakpoints); otherwise each endpoint whose threshold is strictly
-    exceeded points to the arc.
+    exceeded points to the arc.  Every test is exact, so the outcome is the
+    same at every theta strictly between two consecutive breakpoints.
     """
     eps = params.epsilon
     step1_mask = 0
     for v in range(inst.n):
-        if lp.z[v] >= eps - STEP1_TOL:
+        if lp.z[v] >= eps:
             # precedence makes descendants pass the threshold too, but close
             # explicitly so LP residuals can never break downward closure
             step1_mask |= inst.des_masks[v]
@@ -475,7 +476,7 @@ def round_at(
     ):
         if (step1_mask >> u) & 1 or (step1_mask >> v) & 1:
             continue
-        if lo - INTERVAL_TOL <= theta <= xbar + INTERVAL_TOL:
+        if lo <= theta <= xbar:
             fired.add(j)
             step3_mask |= inst.des_masks[v]
             continue

@@ -39,6 +39,9 @@ from .graphs import (
 from .lattice import InterCliqueDigraph, build_icd, is_ptolemaic_via_icd
 
 HIT_THRESHOLD = 0.2
+# load-bearing: HiGHS returns values such as 0.19999999999994314 for 1/5.  Of
+# 1,814 `solve` outputs (benchmark seeds 1, 2, 424242, fixtures, a `gen --random`
+# grid), 28 change without it at the threshold and 94 at the violated-row test.
 HIT_TOL = 1e-9
 
 
@@ -151,7 +154,8 @@ def lift(icd: InterCliqueDigraph, nodes: Iterable[int]) -> VertexSet:
 
 @dataclass(frozen=True)
 class PipelineResult:
-    """Deletion set with per-stage provenance and verification flags."""
+    """Deletion set with per-stage provenance, made once both recognizers
+    accept the remainder (so the JSON's verification flags are constants)."""
 
     deleted: VertexSet
     weight: float
@@ -160,8 +164,6 @@ class PipelineResult:
     lifted: VertexSet
     lifted_weight: float
     icd: InterCliqueDigraph
-    obstruction_free: bool  # remainder passes the hole/gem scan
-    lattice_forest: bool  # remainder's ICD has a forest underlying graph
 
 
 def solve_ptolemaic_deletion(
@@ -184,9 +186,7 @@ def solve_ptolemaic_deletion(
     lifted = vset(kept[v] for v in lifted_local)
     deleted = vset(set(hitting.deleted) | set(lifted))
     remainder, _ = g.delete(deleted)
-    ok_scan, _obstruction = is_ptolemaic(remainder)
-    ok_icd = is_ptolemaic_via_icd(remainder)
-    if not (ok_scan and ok_icd):
+    if not (is_ptolemaic(remainder)[0] and is_ptolemaic_via_icd(remainder)):
         raise StageError("verify", "remainder failed a ptolemaic recognizer")
     return PipelineResult(
         deleted=deleted,
@@ -196,8 +196,6 @@ def solve_ptolemaic_deletion(
         lifted=lifted,
         lifted_weight=g.weight_of(lifted),
         icd=icd,
-        obstruction_free=ok_scan,
-        lattice_forest=ok_icd,
     )
 
 
@@ -225,8 +223,5 @@ def result_to_json(res: PipelineResult) -> dict:
             },
         },
         "icd_nodes": res.icd.n_nodes,
-        "verification": {
-            "obstruction_free": res.obstruction_free,
-            "lattice_forest": res.lattice_forest,
-        },
+        "verification": {"obstruction_free": True, "lattice_forest": True},
     }

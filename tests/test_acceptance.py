@@ -228,9 +228,7 @@ def test_criterion_4_rounding_structure(fvsp_corpus):
         lp = solve_lp(build_lp(inst))
         n_instances += 1
         # analytic deletion-measure bound, per surviving vertex
-        step1 = {
-            v for v in range(inst.n) if lp.z[v] >= params.epsilon - 1e-9
-        }
+        step1 = {v for v in range(inst.n) if lp.z[v] >= params.epsilon}
         for v in range(inst.n):
             if v in step1:
                 continue

@@ -323,6 +323,12 @@ class TestCheck:
         assert run(capsys, "check", ipath, "--solution", spath) == (3, "", line)
         assert run(capsys, "fvsp", ipath) == (3, "", line)
 
+    def test_deeply_nested_solution_exits_2(self, tmp_path, capsys):
+        gpath = write(tmp_path, "c5.gr", format_graph(cycle_graph(5)))
+        spath = write(tmp_path, "deep.json", "[" * 200_000)
+        code, out, err = run(capsys, "check", gpath, "--solution", spath)
+        assert (code, out, err) == (2, "", "error: solution nests JSON too deeply\n")
+
     def test_solution_not_json_exits_2(self, tmp_path, capsys):
         gpath = write(tmp_path, "c5.gr", format_graph(cycle_graph(5)))
         spath = write(tmp_path, "sol.json", "deleted: 0\n")

@@ -28,6 +28,7 @@ from ptodel.fvsp import (
     LP_RESIDUAL_TOL,
     FvspFormatError,
     FvspInstance,
+    FvspLpSolution,
     InstanceViolation,
     RoundingParams,
     build_lp,
@@ -272,6 +273,63 @@ class TestRoundAt:
         out = round_at(chain, lp, DEFAULT_PARAMS, 0.55)  # xbar_head of arc 0
         assert 0 in out.fired_arcs
         assert out.step3 == frozenset({1, 2})
+
+
+    # arc 0 -> 1 with z_v + x_tail + x_head = 1 and z below epsilon: its
+    # deletion interval is [xbar - 0.01, xbar], xbar = 1 - 0.45
+    ARC = FvspInstance(2, [(0, 1)], [1.0, 1.0])
+    ARC_LP = FvspLpSolution(z=(0.0, 0.01), x_tail=(0.54,), x_head=(0.45,), objective=0.01)
+
+    def test_interval_top_compared_exactly(self):
+        [(_, xbar, _)] = fvsp._breakpoints(self.ARC, self.ARC_LP)
+        at = round_at(self.ARC, self.ARC_LP, DEFAULT_PARAMS, xbar)
+        assert at.fired_arcs == {0} and at.step3 == {1}
+        above = round_at(self.ARC, self.ARC_LP, DEFAULT_PARAMS, math.nextafter(xbar, 1))
+        assert above.fired_arcs == set() and above.deleted == set()
+        assert above.pointers[1] == {0}  # the head points to the arc instead
+
+    def test_interval_bottom_compared_exactly(self):
+        [(lo, _, _)] = fvsp._breakpoints(self.ARC, self.ARC_LP)
+        at = round_at(self.ARC, self.ARC_LP, DEFAULT_PARAMS, lo)
+        assert at.fired_arcs == {0} and at.step3 == {1}
+        below = round_at(self.ARC, self.ARC_LP, DEFAULT_PARAMS, math.nextafter(lo, 0))
+        assert below.fired_arcs == set() and below.deleted == set()
+
+    def test_step1_cutoff_compared_exactly(self):
+        eps = DEFAULT_PARAMS.epsilon
+        for z, step1 in ((eps, {1}), (math.nextafter(eps, 0), set())):
+            lp = FvspLpSolution(z=(0.0, z), x_tail=(0.5,), x_head=(0.5 - z,), objective=z)
+            assert round_at(self.ARC, lp, DEFAULT_PARAMS, 0.55).step1 == step1
+
+    def test_rounding_constant_between_breakpoints(self):
+        # no outcome changes strictly between consecutive values of the
+        # breakpoints in [alpha, beta] plus alpha and beta.  The LP optima of
+        # these instances put no breakpoint inside (alpha, beta) (it is 0,
+        # 1/4, 1/3, 1/2, 2/3, 3/4 or 1), so the LP points here are random
+        a, b = DEFAULT_PARAMS.alpha, DEFAULT_PARAMS.beta
+        rng = random.Random(22)
+        gaps = 0
+        for _ in range(40):
+            inst = random_multitree(rng, rng.randint(4, 14))
+            lp = FvspLpSolution(
+                z=tuple(rng.uniform(0.0, 0.04) for _ in range(inst.n)),
+                x_tail=tuple(rng.uniform(0.35, 0.55) for _ in range(inst.m)),
+                x_head=tuple(rng.uniform(0.35, 0.55) for _ in range(inst.m)),
+                objective=0.0,
+            )
+            breaks = {a, b}
+            for bps in fvsp._breakpoints(inst, lp):
+                breaks.update(t for t in bps if a <= t <= b)
+            ordered = sorted(breaks)
+            for lo, hi in zip(ordered, ordered[1:]):
+                first, last = math.nextafter(lo, math.inf), math.nextafter(hi, -math.inf)
+                if not first < hi:
+                    continue  # no float lies strictly between
+                thetas = (first, (lo + hi) / 2, last)
+                outs = [round_at(inst, lp, DEFAULT_PARAMS, t) for t in thetas]
+                assert outs[0] == outs[1] == outs[2], (inst.arcs, lo, hi)
+                gaps += 1
+        assert gaps > 200, gaps
 
 
 class TestCandidates:
@@ -598,7 +656,7 @@ class TestStructuralClaims:
         for _ in range(10):
             inst = random_multitree(rng, rng.randint(3, 10))
             lp = solve_lp(build_lp(inst))
-            if any(z >= DEFAULT_PARAMS.epsilon - 1e-9 for z in lp.z):
+            if any(z >= DEFAULT_PARAMS.epsilon for z in lp.z):
                 continue  # spans model the no-step1 case only
             cands = theta_candidates(inst, lp, DEFAULT_PARAMS)
             mids = [
@@ -608,7 +666,7 @@ class TestStructuralClaims:
                 out = round_at(inst, lp, DEFAULT_PARAMS, theta)
                 for v in range(inst.n):
                     inside = any(
-                        lo - 1e-12 <= theta <= hi + 1e-12
+                        lo <= theta <= hi
                         for lo, hi in _deletion_spans(inst, lp, v, DEFAULT_PARAMS)
                     )
                     assert (v in out.step3) == inside, (inst.arcs, theta, v)

@@ -329,12 +329,15 @@ class TestEndToEnd:
         for g in (WeightedGraph(0, []), WeightedGraph(1, []), WeightedGraph(2, [(0, 1)])):
             res = solve_ptolemaic_deletion(g)
             assert res.deleted == () and res.weight == 0.0
-            assert res.obstruction_free and res.lattice_forest
+            remainder = g.delete(res.deleted)[0]
+            assert is_ptolemaic(remainder)[0] and is_ptolemaic_via_icd(remainder)
 
     def test_c5_optimal(self):
-        res = solve_ptolemaic_deletion(cycle_graph(5))
+        g = cycle_graph(5)
+        res = solve_ptolemaic_deletion(g)
         assert res.weight == 1.0 and len(res.deleted) == 1
-        assert res.obstruction_free and res.lattice_forest
+        remainder = g.delete(res.deleted)[0]
+        assert is_ptolemaic(remainder)[0] and is_ptolemaic_via_icd(remainder)
 
     def test_c4_weight_one(self):
         res = solve_ptolemaic_deletion(cycle_graph(4))
