@@ -8,10 +8,8 @@ the command line (``cli``).
 """
 
 from .fvsp import (
-    DEFAULT_PARAMS,
     FvspInstance,
     FvspSolution,
-    RoundingParams,
     solve_fvsp,
     validate_instance,
     verify_fvsp_solution,
@@ -47,12 +45,10 @@ from .pipeline import (
 )
 
 __all__ = [
-    "DEFAULT_PARAMS",
     "FvspInstance",
     "FvspSolution",
     "InterCliqueDigraph",
     "PipelineResult",
-    "RoundingParams",
     "StageError",
     "WeightedGraph",
     "brute_force_icd",

@@ -15,8 +15,6 @@ from typing import Optional
 
 from . import fixtures
 from .fvsp import (
-    DEFAULT_PARAMS,
-    RoundingParams,
     parse_instance,
     solution_to_json,
     solve_fvsp,
@@ -57,16 +55,6 @@ def _emit(obj: dict) -> None:
     print(json.dumps(obj, indent=2, sort_keys=True))
 
 
-def _parse_params(spec: Optional[str]) -> RoundingParams:
-    if spec is None:
-        return DEFAULT_PARAMS
-    try:
-        eps, alpha, beta = (float(t) for t in spec.split(","))
-    except ValueError as exc:
-        raise ValueError(f"--params must be 'eps,alpha,beta': {exc}") from exc
-    return RoundingParams(epsilon=eps, alpha=alpha, beta=beta)
-
-
 def _read(path: str) -> str:
     # any unreadable path (missing, a directory, no permission) is bad input
     try:
@@ -80,9 +68,7 @@ def _read(path: str) -> str:
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
-    params = _parse_params(args.params)
-    g = parse_graph(_read(args.input))
-    res = solve_ptolemaic_deletion(g, params)
+    res = solve_ptolemaic_deletion(parse_graph(_read(args.input)))
     if args.fmt == "text":
         print(f"deleted {len(res.deleted)} vertices, weight {res.weight!r}")
         print("deleted:", " ".join(str(v) for v in res.deleted))
@@ -112,8 +98,7 @@ def cmd_icd(args: argparse.Namespace) -> int:
 
 
 def cmd_fvsp(args: argparse.Namespace) -> int:
-    params = _parse_params(args.params)
-    sol = solve_fvsp(parse_instance(_read(args.input)), params)
+    sol = solve_fvsp(parse_instance(_read(args.input)))
     if args.fmt == "text":
         print(f"deleted {len(sol.deleted)} nodes, weight {sol.weight!r}, theta {sol.theta!r}")
     else:
@@ -217,7 +202,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="run the full deletion pipeline")
     p.add_argument("input")
-    p.add_argument("--params", help="eps,alpha,beta override")
     p.add_argument("--format", choices=["json", "text"], default="json", dest="fmt")
 
     p = sub.add_parser("icd", help="dump the inter-clique digraph")
@@ -233,7 +217,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fvsp", help="solve a feedback-vertex instance")
     p.add_argument("input")
-    p.add_argument("--params", help="eps,alpha,beta override")
     p.add_argument("--format", choices=["json", "text"], default="json", dest="fmt")
 
     p = sub.add_parser("oracle", help="exact reference solvers")

@@ -14,7 +14,7 @@ each arc's equality row eliminates its head variable, so only inequality rows
 remain.  The kernel optimum lifts back exactly to an optimum of the full LP,
 which is checked row by row against ``LP_RESIDUAL_TOL``, the module's one
 tolerance.  The solver then derandomizes a threshold rounding that compares
-exactly: candidate thresholds are the arc breakpoints inside [alpha, beta]
+exactly: candidate thresholds are the arc breakpoints inside [ALPHA, BETA]
 plus midpoints, every candidate is rounded and cleaned up, and the cheapest
 outcome wins.  After rounding, each remaining component contains at most
 one cycle.  The cleanup finds it with the same 2-core peel as the LP kernel
@@ -33,7 +33,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 from scipy.optimize import linprog
 
-from .graphs import StageError, _bits_to_list, _mask_of, read_records, union_find
+from .graphs import MAX_WEIGHT, StageError, _bits_to_list, _mask_of, read_records, union_find
 
 LP_RESIDUAL_TOL = 1e-8
 
@@ -160,8 +160,14 @@ def validate_instance(inst: FvspInstance) -> Optional[InstanceViolation]:
 
 def parse_instance(text: str) -> FvspInstance:
     """Parse the FVSP instance text format; nodes without an ``n`` line
-    default to weight 1.0."""
-    return read_records(text, "dna", ("node", "arcs"), FvspFormatError, FvspInstance)
+    default to weight 1.0, and no node may weigh more than MAX_WEIGHT.  The
+    cap is checked here, not by the constructor, because an instance
+    ``pipeline.reduce_to_fvsp`` builds sums a clique's vertex weights into one
+    node."""
+    inst = read_records(text, "dna", ("node", "arcs"), FvspFormatError, FvspInstance)
+    if max(inst.weights, default=0.0) > MAX_WEIGHT:
+        raise FvspFormatError(f"node weights must be at most {MAX_WEIGHT:g}")
+    return inst
 
 
 def format_instance(inst: FvspInstance) -> str:
@@ -172,46 +178,17 @@ def format_instance(inst: FvspInstance) -> str:
 
 
 # ---------------------------------------------------------------------------
-# rounding parameters
-
-
-@dataclass(frozen=True)
-class RoundingParams:
-    """Threshold-rounding parameters.
-
-    Constraints (checked exactly; the defaults satisfy them with a margin of
-    about 1e-7):
-        2*alpha >= 1 + epsilon
-        3*(1 - beta) >= 1 + 8*epsilon
-        0 < epsilon, alpha < beta < 1
-    """
-
-    epsilon: float = 0.0293258
-    alpha: float = 0.514663
-    beta: float = 0.5884645
-
-    def __post_init__(self):
-        if not (0 < self.epsilon < 1 and 0 < self.alpha < 1 and 0 < self.beta < 1):
-            raise ValueError("rounding parameters must lie in (0, 1)")
-        if not self.alpha < self.beta:
-            raise ValueError(f"alpha < beta violated: {self.alpha} >= {self.beta}")
-        if 2 * self.alpha - (1 + self.epsilon) < 0:
-            raise ValueError(
-                f"2*alpha >= 1 + epsilon violated: 2*{self.alpha} < 1 + {self.epsilon}"
-            )
-        if 3 * (1 - self.beta) - (1 + 8 * self.epsilon) < 0:
-            raise ValueError(
-                f"3*(1-beta) >= 1 + 8*epsilon violated: "
-                f"3*(1-{self.beta}) < 1 + 8*{self.epsilon}"
-            )
-
-    @property
-    def ratio_bound(self) -> float:
-        """Guaranteed approximation factor 1/eps + 2/(beta-alpha) + 1."""
-        return 1.0 / self.epsilon + 2.0 / (self.beta - self.alpha) + 1.0
-
-
-DEFAULT_PARAMS = RoundingParams()
+# rounding constants
+#
+# Rounding with (eps, alpha, beta) costs at most 1/eps + 2/(beta - alpha) + 1
+# times the optimum whenever 2*alpha >= 1 + eps and 3*(1 - beta) >= 1 + 8*eps.
+# Over every triple that meets both, that factor is at least
+# 1/eps + 12/(1 - 19*eps) + 1, whose least value is 62.19934 at
+# eps = 0.0293258.  These literals meet both constraints, compared exactly,
+# with 1e-7 to spare, and prove 62.19939.
+EPSILON = 0.0293258
+ALPHA = 0.514663
+BETA = 0.5884645
 
 
 # ---------------------------------------------------------------------------
@@ -445,15 +422,10 @@ def _breakpoints(
     return out
 
 
-def round_at(
-    inst: FvspInstance,
-    lp: FvspLpSolution,
-    params: RoundingParams,
-    theta: float,
-) -> RoundingOutcome:
+def round_at(inst: FvspInstance, lp: FvspLpSolution, theta: float) -> RoundingOutcome:
     """One pass of the threshold rounding at a fixed theta.
 
-    Nodes with z_v >= epsilon go first (downward-closed by the precedence
+    Nodes with z_v >= EPSILON go first (downward-closed by the precedence
     constraint).  Every arc between surviving endpoints is then examined
     against the original LP values: if theta falls in the arc's closed
     deletion interval the head and all its descendants are removed (deletion
@@ -461,10 +433,9 @@ def round_at(
     exceeded points to the arc.  Every test is exact, so the outcome is the
     same at every theta strictly between two consecutive breakpoints.
     """
-    eps = params.epsilon
     step1_mask = 0
     for v in range(inst.n):
-        if lp.z[v] >= eps:
+        if lp.z[v] >= EPSILON:
             # precedence makes descendants pass the threshold too, but close
             # explicitly so LP residuals can never break downward closure
             step1_mask |= inst.des_masks[v]
@@ -493,15 +464,12 @@ def round_at(
     )
 
 
-def theta_candidates(
-    inst: FvspInstance, lp: FvspLpSolution, params: RoundingParams
-) -> tuple[float, ...]:
-    """Breakpoints of the rounding inside [alpha, beta] plus midpoints of
+def theta_candidates(inst: FvspInstance, lp: FvspLpSolution) -> tuple[float, ...]:
+    """Breakpoints of the rounding inside [ALPHA, BETA] plus midpoints of
     consecutive ones; at most 6m + 3 values."""
-    lo, hi = params.alpha, params.beta
-    breaks = {lo, hi}
+    breaks = {ALPHA, BETA}
     for bps in _breakpoints(inst, lp):
-        breaks.update(val for val in bps if lo <= val <= hi)
+        breaks.update(val for val in bps if ALPHA <= val <= BETA)
     ordered = sorted(breaks)
     mids = [(a + b) / 2.0 for a, b in zip(ordered, ordered[1:])]
     return tuple(sorted(set(ordered + mids)))
@@ -555,17 +523,15 @@ class FvspSolution:
     lp_value: float
 
 
-def derandomize(
-    inst: FvspInstance, lp: FvspLpSolution, params: RoundingParams
-) -> FvspSolution:
+def derandomize(inst: FvspInstance, lp: FvspLpSolution) -> FvspSolution:
     """Evaluate rounding plus cleanup at every candidate threshold, cleaning
     up once per distinct rounded set; return the outcome of minimum weight
     (ties: lexicographically smallest deleted set, then smallest theta)."""
     best = None
     all_nodes = set(range(inst.n))
     seen: set[frozenset[int]] = set()
-    for theta in theta_candidates(inst, lp, params):
-        outcome = round_at(inst, lp, params, theta)
+    for theta in theta_candidates(inst, lp):
+        outcome = round_at(inst, lp, theta)
         if outcome.deleted in seen:
             # same cleanup, same key but a larger theta: it cannot win
             continue
@@ -618,16 +584,14 @@ def verify_fvsp_solution(
     return FvspViolation("cycle", closing[0]) if closing else None
 
 
-def solve_fvsp(
-    inst: FvspInstance, params: RoundingParams = DEFAULT_PARAMS
-) -> FvspSolution:
+def solve_fvsp(inst: FvspInstance) -> FvspSolution:
     """Full pipeline: validate, solve the LP, derandomize the rounding, and
     verify the output.  The result is downward-closed, leaves a forest, and
-    weighs at most (1/eps + 2/(beta-alpha) + 1) times the optimum."""
+    weighs at most 1/EPSILON + 2/(BETA - ALPHA) + 1 times the optimum."""
     violation = validate_instance(inst)
     if violation is not None:
         raise StageError("fvsp", f"invalid instance: {violation}")
-    sol = derandomize(inst, solve_lp(build_lp(inst)), params)
+    sol = derandomize(inst, solve_lp(build_lp(inst)))
     bad = verify_fvsp_solution(inst, sol.deleted)
     if bad is not None:
         raise StageError("fvsp", f"rounded solution infeasible: {bad}")

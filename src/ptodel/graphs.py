@@ -19,6 +19,12 @@ from typing import Callable, Iterable, Optional, TypeVar
 VertexSet = tuple[int, ...]
 T = TypeVar("T")
 
+# the largest vertex (or FVSP node) weight an input may carry, three decades
+# below trouble: on seeded random graphs HiGHS solved both LPs with every
+# weight in [1e8, 1e9], failed on some with weights in [1e9, 1e10], and reads
+# 1e20 as an infinite cost
+MAX_WEIGHT = 1e6
+
 
 class GraphFormatError(ValueError):
     """Raised when a graph text file cannot be parsed."""
@@ -76,6 +82,8 @@ class WeightedGraph:
                 raise ValueError("weights length must equal vertex count")
             if not all(math.isfinite(x) and x >= 0 for x in w):
                 raise ValueError("vertex weights must be finite and nonnegative")
+            if max(w, default=0.0) > MAX_WEIGHT:
+                raise ValueError(f"vertex weights must be at most {MAX_WEIGHT:g}")
         self.weights: tuple[float, ...] = w
         bits = [0] * n
         for u, v in self.edges:

@@ -17,14 +17,7 @@ from typing import Iterable
 import numpy as np
 from scipy.optimize import linprog
 
-from .fvsp import (
-    DEFAULT_PARAMS,
-    FvspInstance,
-    FvspSolution,
-    RoundingParams,
-    solve_fvsp,
-    validate_instance,
-)
+from .fvsp import FvspInstance, FvspSolution, solve_fvsp, validate_instance
 from .graphs import (
     StageError,
     VertexSet,
@@ -166,9 +159,7 @@ class PipelineResult:
     icd: InterCliqueDigraph
 
 
-def solve_ptolemaic_deletion(
-    g: WeightedGraph, params: RoundingParams = DEFAULT_PARAMS
-) -> PipelineResult:
+def solve_ptolemaic_deletion(g: WeightedGraph) -> PipelineResult:
     """Run both stages and verify the remainder with both recognizers."""
     hitting = hit_c4_gem(g)
     g_prime, kept = g.delete(hitting.deleted)
@@ -176,7 +167,7 @@ def solve_ptolemaic_deletion(
     try:
         icd, inst = reduce_to_fvsp(g_prime)
         stage = "fvsp"
-        fvsp_sol = solve_fvsp(inst, params)
+        fvsp_sol = solve_fvsp(inst)
     except StageError:
         raise
     except Exception as exc:  # any other failure: its stage, and its type

@@ -28,7 +28,6 @@ from ptodel.fvsp import (
     FvspLpSolution,
     FvspSolution,
     InstanceViolation,
-    RoundingParams,
     cleanup_unicyclic,
     round_at,
     theta_candidates,
@@ -444,13 +443,11 @@ def build_lp_loop(inst: FvspInstance) -> FullLp:
     return FullLp(c=c, a_eq=a_eq, b_eq=b_eq, a_ub=a_ub, b_ub=b_ub)
 
 
-def derandomize_every_theta(
-    inst: FvspInstance, lp: FvspLpSolution, params: RoundingParams
-) -> FvspSolution:
+def derandomize_every_theta(inst: FvspInstance, lp: FvspLpSolution) -> FvspSolution:
     """Reference ``derandomize``: rounds and cleans up at every candidate."""
     best = None
-    for theta in theta_candidates(inst, lp, params):
-        outcome = round_at(inst, lp, params, theta)
+    for theta in theta_candidates(inst, lp):
+        outcome = round_at(inst, lp, theta)
         extra = cleanup_unicyclic(inst, set(range(inst.n)) - outcome.deleted)
         total = tuple(sorted(outcome.deleted | extra))
         key = (inst.weight_of(total), total, theta)

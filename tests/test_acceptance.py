@@ -22,7 +22,9 @@ from helpers_brute import (
 )
 from ptodel.fixtures import cycle_graph
 from ptodel.fvsp import (
-    DEFAULT_PARAMS,
+    ALPHA,
+    BETA,
+    EPSILON,
     FvspInstance,
     build_lp,
     cleanup_unicyclic,
@@ -49,8 +51,6 @@ from ptodel.oracle import (
     exact_ptolemaic_deletion,
 )
 from ptodel.pipeline import lift, solve_ptolemaic_deletion
-
-EPS, ALPHA, BETA = DEFAULT_PARAMS.epsilon, DEFAULT_PARAMS.alpha, DEFAULT_PARAMS.beta
 
 
 def report(num: int, name: str, ok: bool, detail: str = "") -> None:
@@ -163,13 +163,13 @@ def weighted_corpus():
 
 def test_criterion_1_parameter_arithmetic():
     failures = []
-    if not 2 * ALPHA >= 1 + EPS - 1e-9:
-        failures.append(f"2*alpha >= 1+eps off by {1 + EPS - 2 * ALPHA:.3e}")
-    if not 3 * (1 - BETA) >= 1 + 8 * EPS - 1e-9:
+    if not 2 * ALPHA >= 1 + EPSILON - 1e-9:
+        failures.append(f"2*alpha >= 1+eps off by {1 + EPSILON - 2 * ALPHA:.3e}")
+    if not 3 * (1 - BETA) >= 1 + 8 * EPSILON - 1e-9:
         failures.append(
-            f"3*(1-beta) >= 1+8*eps off by {1 + 8 * EPS - 3 * (1 - BETA):.3e}"
+            f"3*(1-beta) >= 1+8*eps off by {1 + 8 * EPSILON - 3 * (1 - BETA):.3e}"
         )
-    ratio = 1 / EPS + 2 / (BETA - ALPHA) + 1
+    ratio = 1 / EPSILON + 2 / (BETA - ALPHA) + 1
     if not ratio <= 62.2 + 1e-9:
         failures.append(f"ratio {ratio} > 62.2")
     report(1, "parameter arithmetic", not failures, "; ".join(failures))
@@ -215,7 +215,6 @@ def test_criterion_3_recognizer_agreement():
 
 
 def test_criterion_4_rounding_structure(fvsp_corpus):
-    params = DEFAULT_PARAMS
     n_instances = 0
     n_thetas = 0
     failures = []
@@ -228,7 +227,7 @@ def test_criterion_4_rounding_structure(fvsp_corpus):
         lp = solve_lp(build_lp(inst))
         n_instances += 1
         # analytic deletion-measure bound, per surviving vertex
-        step1 = {v for v in range(inst.n) if lp.z[v] >= params.epsilon}
+        step1 = {v for v in range(inst.n) if lp.z[v] >= EPSILON}
         for v in range(inst.n):
             if v in step1:
                 continue
@@ -239,7 +238,7 @@ def test_criterion_4_rounding_structure(fvsp_corpus):
                     continue
                 xbar = 1.0 - lp.x_head[j]
                 y = lp.z[w] - lp.z[u]
-                lo, hi = max(xbar - y, params.alpha), min(xbar, params.beta)
+                lo, hi = max(xbar - y, ALPHA), min(xbar, BETA)
                 if lo <= hi:
                     spans.append((lo, hi))
             spans.sort()
@@ -256,9 +255,9 @@ def test_criterion_4_rounding_structure(fvsp_corpus):
                 measure += end - start
             if measure > 2 * lp.z[v] + 1e-9:
                 failures.append(("measure", inst.arcs, v))
-        for theta in theta_candidates(inst, lp, params):
+        for theta in theta_candidates(inst, lp):
             n_thetas += 1
-            out = round_at(inst, lp, params, theta)
+            out = round_at(inst, lp, theta)
             deleted = out.deleted
             for v in deleted:
                 if not all(c in deleted for c in inst.out_adj[v]):

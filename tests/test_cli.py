@@ -12,7 +12,7 @@ from generators import complete_multipartite, random_graph
 from ptodel import fvsp, graphs, pipeline
 from ptodel.cli import build_parser, main
 from ptodel.fixtures import cycle_graph, fixture_graph, path_graph
-from ptodel.graphs import MAX_HEADER_N, format_graph, parse_graph
+from ptodel.graphs import MAX_HEADER_N, MAX_WEIGHT, format_graph, parse_graph
 from ptodel.fvsp import FvspInstance, format_instance
 
 
@@ -75,22 +75,6 @@ class TestSolve:
         _, out1, _ = run(capsys, "solve", path)
         _, out2, _ = run(capsys, "solve", path)
         assert out1 == out2
-
-    def test_invalid_params_exit_2(self, tmp_path, capsys):
-        path = write(tmp_path, "p4.gr", format_graph(path_graph(4)))
-        code, _, err = run(capsys, "solve", path, "--params", "0.05,0.55,0.9")
-        assert code == 2 and "3*(1-beta)" in err
-
-    @pytest.mark.parametrize("command", ["solve", "fvsp"])
-    def test_bad_params_win_over_missing_file(self, capsys, command):
-        code, out, err = run(capsys, command, "/nonexistent/in.txt", "--params", "x")
-        assert (code, out) == (2, "")
-        assert err.startswith("error: --params must be 'eps,alpha,beta'")
-
-    def test_custom_params(self, tmp_path, capsys):
-        path = write(tmp_path, "c5.gr", format_graph(cycle_graph(5)))
-        code, out, _ = run(capsys, "solve", path, "--params", "0.02,0.52,0.6")
-        assert code == 0 and json.loads(out)["weight"] == 1.0
 
 
 class TestIcd:
@@ -431,6 +415,31 @@ def test_header_over_the_cap_exits_2(tmp_path, capsys, command, text, noun):
     assert run(capsys, command, path) == (2, "", line)
 
 
+C4_HEAVY_GR = (
+    "p 4 4\nv 0 1e20\nv 1 1e20\nv 2 1e20\nv 3 1e20\n"
+    "e 0 1\ne 1 2\ne 2 3\ne 0 3\n"
+)
+HEAVY_FV = "d 2 1\nn 0 1e308\nn 1 1e308\na 0 1\n"
+
+
+@pytest.mark.parametrize(
+    "command, text, noun",
+    [
+        ("solve", C4_HEAVY_GR, "vertex"),
+        ("fvsp", HEAVY_FV, "node"),
+        ("check", HEAVY_FV, "node"),
+    ],
+)
+def test_weight_over_the_cap_exits_2(tmp_path, capsys, command, text, noun):
+    # a 1e20 weight made the hitting LP fail (HiGHS reads it as infinite),
+    # and two 1e308 weights made `check` print "weight": Infinity
+    argv = [command, write(tmp_path, "in.txt", text)]
+    if command == "check":
+        argv += ["--solution", write(tmp_path, "sol.json", "[0, 1]")]
+    line = f"error: {noun} weights must be at most {MAX_WEIGHT:g}\n"
+    assert run(capsys, *argv) == (2, "", line)
+
+
 def _lp_refused(*args, **kwargs):
     return SimpleNamespace(success=False, message="refused")
 
@@ -477,9 +486,9 @@ def test_every_exit_3_is_one_tagged_line(tmp_path, capsys, monkeypatch, case):
 class TestOptions:
     # each subcommand takes exactly the flags its handler reads
     OPTIONS = {
-        "solve": ["--format", "--params"],
+        "solve": ["--format"],
         "icd": ["--budget", "--format", "--oracle"],
-        "fvsp": ["--format", "--params"],
+        "fvsp": ["--format"],
         "oracle": ["--budget"],
         "check": ["--solution"],
         "gen": ["--fixture", "--p", "--random", "--seed", "--weights"],
@@ -507,7 +516,7 @@ class TestOptions:
             )
             formats.update({name: a.choices for a in p._actions if a.dest == "fmt"})
         assert options == self.OPTIONS and formats == self.FORMATS
-        assert sum(map(len, options.values())) == 14
+        assert sum(map(len, options.values())) == 12
 
     @pytest.mark.parametrize(
         "command, extra, named",
@@ -528,6 +537,9 @@ class TestOptions:
             ("check", ["--format", "json"], "--format"),
             ("gen", ["--budget", "3"], "--budget"),
             ("gen", ["--format", "json"], "--format"),
+            # the rounding constants are fixed (fvsp.EPSILON, ALPHA, BETA)
+            ("solve", ["--params", "0.02,0.52,0.6"], "--params"),
+            ("fvsp", ["--params", "0.02,0.52,0.6"], "--params"),
         ],
     )
     def test_removed_option_exits_2(self, capsys, command, extra, named):

@@ -24,13 +24,14 @@ from helpers_brute import (
 from ptodel import fvsp
 from ptodel.fixtures import cycle_graph, fixture_graph
 from ptodel.fvsp import (
-    DEFAULT_PARAMS,
+    ALPHA,
+    BETA,
+    EPSILON,
     LP_RESIDUAL_TOL,
     FvspFormatError,
     FvspInstance,
     FvspLpSolution,
     InstanceViolation,
-    RoundingParams,
     build_lp,
     cleanup_unicyclic,
     derandomize,
@@ -44,10 +45,10 @@ from ptodel.fvsp import (
     validate_instance,
     verify_fvsp_solution,
 )
-from ptodel.graphs import StageError, _bits_to_list, union_find
+from ptodel.graphs import MAX_WEIGHT, StageError, WeightedGraph, _bits_to_list, union_find
 from ptodel.lattice import build_icd
 from ptodel.oracle import exact_fvsp
-from ptodel.pipeline import hit_c4_gem, reduce_to_fvsp
+from ptodel.pipeline import hit_c4_gem, reduce_to_fvsp, solve_ptolemaic_deletion
 
 # s1=0, s2=1, t1=2, t2=3: an undirected 4-cycle with two sources
 ST = FvspInstance(4, [(0, 2), (1, 2), (1, 3), (0, 3)], [1.0] * 4)
@@ -237,9 +238,9 @@ class TestRoundAt:
     def test_all_zero_lp_points_every_arc(self):
         lp = solve_lp(build_lp(FOREST))
         # midpoint candidates avoid the measure-zero deletion points
-        cands = theta_candidates(FOREST, lp, DEFAULT_PARAMS)
+        cands = theta_candidates(FOREST, lp)
         theta = cands[len(cands) // 2]
-        out = round_at(FOREST, lp, DEFAULT_PARAMS, theta)
+        out = round_at(FOREST, lp, theta)
         assert out.deleted == frozenset()
         pointed = set()
         for js in out.pointers.values():
@@ -256,7 +257,7 @@ class TestRoundAt:
             x_head=(0.25, 0.2),
             objective=1.1,
         )
-        out = round_at(chain, lp, DEFAULT_PARAMS, 0.55)
+        out = round_at(chain, lp, 0.55)
         assert out.step1 == frozenset({1, 2})
         assert out.deleted == frozenset({1, 2})
 
@@ -270,7 +271,7 @@ class TestRoundAt:
             x_head=(0.45, 0.5),
             objective=0.0,
         )
-        out = round_at(chain, lp, DEFAULT_PARAMS, 0.55)  # xbar_head of arc 0
+        out = round_at(chain, lp, 0.55)  # xbar_head of arc 0
         assert 0 in out.fired_arcs
         assert out.step3 == frozenset({1, 2})
 
@@ -282,31 +283,30 @@ class TestRoundAt:
 
     def test_interval_top_compared_exactly(self):
         [(_, xbar, _)] = fvsp._breakpoints(self.ARC, self.ARC_LP)
-        at = round_at(self.ARC, self.ARC_LP, DEFAULT_PARAMS, xbar)
+        at = round_at(self.ARC, self.ARC_LP, xbar)
         assert at.fired_arcs == {0} and at.step3 == {1}
-        above = round_at(self.ARC, self.ARC_LP, DEFAULT_PARAMS, math.nextafter(xbar, 1))
+        above = round_at(self.ARC, self.ARC_LP, math.nextafter(xbar, 1))
         assert above.fired_arcs == set() and above.deleted == set()
         assert above.pointers[1] == {0}  # the head points to the arc instead
 
     def test_interval_bottom_compared_exactly(self):
         [(lo, _, _)] = fvsp._breakpoints(self.ARC, self.ARC_LP)
-        at = round_at(self.ARC, self.ARC_LP, DEFAULT_PARAMS, lo)
+        at = round_at(self.ARC, self.ARC_LP, lo)
         assert at.fired_arcs == {0} and at.step3 == {1}
-        below = round_at(self.ARC, self.ARC_LP, DEFAULT_PARAMS, math.nextafter(lo, 0))
+        below = round_at(self.ARC, self.ARC_LP, math.nextafter(lo, 0))
         assert below.fired_arcs == set() and below.deleted == set()
 
     def test_step1_cutoff_compared_exactly(self):
-        eps = DEFAULT_PARAMS.epsilon
-        for z, step1 in ((eps, {1}), (math.nextafter(eps, 0), set())):
+        for z, step1 in ((EPSILON, {1}), (math.nextafter(EPSILON, 0), set())):
             lp = FvspLpSolution(z=(0.0, z), x_tail=(0.5,), x_head=(0.5 - z,), objective=z)
-            assert round_at(self.ARC, lp, DEFAULT_PARAMS, 0.55).step1 == step1
+            assert round_at(self.ARC, lp, 0.55).step1 == step1
 
     def test_rounding_constant_between_breakpoints(self):
         # no outcome changes strictly between consecutive values of the
         # breakpoints in [alpha, beta] plus alpha and beta.  The LP optima of
         # these instances put no breakpoint inside (alpha, beta) (it is 0,
         # 1/4, 1/3, 1/2, 2/3, 3/4 or 1), so the LP points here are random
-        a, b = DEFAULT_PARAMS.alpha, DEFAULT_PARAMS.beta
+        a, b = ALPHA, BETA
         rng = random.Random(22)
         gaps = 0
         for _ in range(40):
@@ -326,7 +326,7 @@ class TestRoundAt:
                 if not first < hi:
                     continue  # no float lies strictly between
                 thetas = (first, (lo + hi) / 2, last)
-                outs = [round_at(inst, lp, DEFAULT_PARAMS, t) for t in thetas]
+                outs = [round_at(inst, lp, t) for t in thetas]
                 assert outs[0] == outs[1] == outs[2], (inst.arcs, lo, hi)
                 gaps += 1
         assert gaps > 200, gaps
@@ -342,19 +342,19 @@ class TestCandidates:
         lp = FvspLpSolution(
             z=(0.0, 0.0), x_tail=(0.55,), x_head=(0.45,), objective=0.0
         )
-        a, b = DEFAULT_PARAMS.alpha, DEFAULT_PARAMS.beta
+        a, b = ALPHA, BETA
         expected = sorted({a, 0.55, b, (a + 0.55) / 2, (0.55 + b) / 2})
-        assert list(theta_candidates(inst, lp, DEFAULT_PARAMS)) == expected
+        assert list(theta_candidates(inst, lp)) == expected
 
     def test_count_bound(self):
         rng = random.Random(2)
         for _ in range(20):
             inst = random_multitree(rng, rng.randint(2, 10))
             lp = solve_lp(build_lp(inst))
-            cands = theta_candidates(inst, lp, DEFAULT_PARAMS)
+            cands = theta_candidates(inst, lp)
             assert len(cands) <= 6 * inst.m + 3
             assert all(
-                DEFAULT_PARAMS.alpha <= t <= DEFAULT_PARAMS.beta for t in cands
+                ALPHA <= t <= BETA for t in cands
             )
             assert list(cands) == sorted(cands)
 
@@ -444,13 +444,13 @@ class TestCleanup:
 class TestDerandomize:
     def test_forest_weight_zero(self):
         lp = solve_lp(build_lp(FOREST))
-        rs = derandomize(FOREST, lp, DEFAULT_PARAMS)
+        rs = derandomize(FOREST, lp)
         assert rs.deleted == ()
 
     def test_icd_c5_weight_one(self):
         inst = icd_c5_instance()
         lp = solve_lp(build_lp(inst))
-        rs = derandomize(inst, lp, DEFAULT_PARAMS)
+        rs = derandomize(inst, lp)
         assert inst.weight_of(rs.deleted) == pytest.approx(1.0)
 
 
@@ -468,7 +468,7 @@ class TestDerandomize:
         # a feasible point of ST's LP on which theta = alpha fires the arcs
         # into both sinks, while every later candidate leaves the 4-cycle to
         # the cleanup, which takes the lighter sink 2
-        a = DEFAULT_PARAMS.alpha
+        a = ALPHA
         heavy_st = FvspInstance(4, ST.arcs, [1.0, 1.0, 1.0, 2.0])
         cases.append((heavy_st, FvspLpSolution(
             z=(0.0,) * 4, x_tail=(1 - a, a, a, 1 - a), x_head=(a, 1 - a, 1 - a, a),
@@ -476,13 +476,13 @@ class TestDerandomize:
         )))
         repeats = 0
         for inst, lp in cases:
-            cands = theta_candidates(inst, lp, DEFAULT_PARAMS)
-            rounded = {round_at(inst, lp, DEFAULT_PARAMS, t).deleted for t in cands}
+            cands = theta_candidates(inst, lp)
+            rounded = {round_at(inst, lp, t).deleted for t in cands}
             repeats += len(rounded) < len(cands)
-            want = derandomize_every_theta(inst, lp, DEFAULT_PARAMS)
-            assert derandomize(inst, lp, DEFAULT_PARAMS) == want
+            want = derandomize_every_theta(inst, lp)
+            assert derandomize(inst, lp) == want
         assert repeats >= 20, repeats
-        sol = derandomize(*cases[-1], DEFAULT_PARAMS)
+        sol = derandomize(*cases[-1])
         assert sol.deleted == (2,) and sol.theta > a
 
 
@@ -544,44 +544,38 @@ class TestVerify:
 
 
 class TestParams:
+    # the rounding constants fvsp.EPSILON, ALPHA and BETA
     def test_defaults_validate_and_bound(self):
-        p = RoundingParams()
-        assert p.ratio_bound <= 62.2
-
-    def test_reject_alpha(self):
-        with pytest.raises(ValueError, match="2\\*alpha"):
-            RoundingParams(epsilon=0.2, alpha=0.5, beta=0.7)
-
-    def test_reject_beta(self):
-        with pytest.raises(ValueError, match="3\\*\\(1-beta\\)"):
-            RoundingParams(epsilon=0.05, alpha=0.55, beta=0.9)
+        assert 2 * ALPHA >= 1 + EPSILON
+        assert 3 * (1 - BETA) >= 1 + 8 * EPSILON
+        assert 1 / EPSILON + 2 / (BETA - ALPHA) + 1 <= 62.2
 
     def test_reject_beta_rounded_up(self):
-        # beta = 0.588465 misses 3*(1-beta) >= 1+8*eps by 1.4e-6; no slack admits it
-        with pytest.raises(ValueError, match="3\\*\\(1-beta\\)"):
-            RoundingParams(epsilon=0.0293258, alpha=0.514663, beta=0.588465)
+        # beta = 0.588465 misses 3*(1-beta) >= 1+8*eps by 1.4e-6, so the
+        # literal keeps its last digit
+        assert 3 * (1 - 0.588465) < 1 + 8 * EPSILON
 
-    def test_reject_order(self):
-        with pytest.raises(ValueError, match="alpha < beta"):
-            RoundingParams(epsilon=0.01, alpha=0.6, beta=0.55)
+    def test_factor_within_5e_5_of_its_least_value(self):
+        # 2/(beta - alpha) >= 12/(1 - 19*eps) on every triple that meets both
+        # constraints, so no triple proves less than 1/eps + 12/(1 - 19*eps)
+        # + 1, which is least at eps = 0.02932580
+        eps = 0.02932580
+        least = 1 / eps + 12 / (1 - 19 * eps) + 1
+        assert least <= 1 / EPSILON + 2 / (BETA - ALPHA) + 1 <= least + 5e-5
 
-    def test_reject_out_of_range(self):
-        with pytest.raises(ValueError):
-            RoundingParams(epsilon=0.0, alpha=0.6, beta=0.65)
 
-
-def _deletion_spans(inst, lp, v, params):
+def _deletion_spans(inst, lp, v):
     """Independent recomputation: theta ranges where v dies in step 3 (the
     deletion intervals of arcs whose head is an ancestor-or-self of v),
-    clipped to [alpha, beta] and merged."""
+    clipped to [ALPHA, BETA] and merged."""
     spans = []
     for j, (u, w) in enumerate(inst.arcs):
         if not (inst.des_masks[w] >> v) & 1:
             continue
         xbar = 1.0 - lp.x_head[j]
         y = lp.z[w] - lp.z[u]
-        lo = max(xbar - y, params.alpha)
-        hi = min(xbar, params.beta)
+        lo = max(xbar - y, ALPHA)
+        hi = min(xbar, BETA)
         if lo <= hi:
             spans.append((lo, hi))
     spans.sort()
@@ -594,8 +588,8 @@ def _deletion_spans(inst, lp, v, params):
     return merged
 
 
-def _deletion_intervals_for(inst, lp, v, params):
-    return sum(hi - lo for lo, hi in _deletion_spans(inst, lp, v, params))
+def _deletion_intervals_for(inst, lp, v):
+    return sum(hi - lo for lo, hi in _deletion_spans(inst, lp, v))
 
 
 class TestStructuralClaims:
@@ -610,8 +604,8 @@ class TestStructuralClaims:
     def test_rounding_structure(self):
         for inst in self._instances():
             lp = solve_lp(build_lp(inst))
-            for theta in theta_candidates(inst, lp, DEFAULT_PARAMS):
-                out = round_at(inst, lp, DEFAULT_PARAMS, theta)
+            for theta in theta_candidates(inst, lp):
+                out = round_at(inst, lp, theta)
                 deleted = out.deleted
                 # downward closure of step deletions
                 for v in deleted:
@@ -642,11 +636,11 @@ class TestStructuralClaims:
     def test_deletion_measure_bound(self):
         for inst in self._instances():
             lp = solve_lp(build_lp(inst))
-            out1 = round_at(inst, lp, DEFAULT_PARAMS, DEFAULT_PARAMS.alpha)
+            out1 = round_at(inst, lp, ALPHA)
             for v in range(inst.n):
                 if v in out1.step1:
                     continue
-                measure = _deletion_intervals_for(inst, lp, v, DEFAULT_PARAMS)
+                measure = _deletion_intervals_for(inst, lp, v)
                 assert measure <= 2 * lp.z[v] + 1e-9
 
     def test_step3_membership_matches_analytic_spans(self):
@@ -656,18 +650,18 @@ class TestStructuralClaims:
         for _ in range(10):
             inst = random_multitree(rng, rng.randint(3, 10))
             lp = solve_lp(build_lp(inst))
-            if any(z >= DEFAULT_PARAMS.epsilon for z in lp.z):
+            if any(z >= EPSILON for z in lp.z):
                 continue  # spans model the no-step1 case only
-            cands = theta_candidates(inst, lp, DEFAULT_PARAMS)
+            cands = theta_candidates(inst, lp)
             mids = [
                 (a + b) / 2 for a, b in zip(cands, cands[1:]) if b - a > 1e-9
             ]
             for theta in mids:
-                out = round_at(inst, lp, DEFAULT_PARAMS, theta)
+                out = round_at(inst, lp, theta)
                 for v in range(inst.n):
                     inside = any(
                         lo <= theta <= hi
-                        for lo, hi in _deletion_spans(inst, lp, v, DEFAULT_PARAMS)
+                        for lo, hi in _deletion_spans(inst, lp, v)
                     )
                     assert (v in out.step3) == inside, (inst.arcs, theta, v)
 
@@ -681,15 +675,6 @@ class TestApproximation:
             opt_w, opt_set = exact_fvsp(inst)
             assert opt_w - 1e-9 <= sol.weight <= 63 * opt_w + 1e-9
             assert verify_fvsp_solution(inst, opt_set) is None
-
-    def test_custom_params_honor_their_own_bound(self):
-        params = RoundingParams(epsilon=0.02, alpha=0.52, beta=0.60)
-        rng = random.Random(18)
-        for _ in range(15):
-            inst = random_multitree(rng, rng.randint(2, 10))
-            sol = solve_fvsp(inst, params)
-            opt_w, _ = exact_fvsp(inst)
-            assert opt_w - 1e-9 <= sol.weight <= params.ratio_bound * opt_w + 1e-9
 
     def test_exact_matches_ideal_reference(self):
         rng = random.Random(16)
@@ -731,6 +716,7 @@ class TestInstanceFormat:
             ("d 1 0\nd 1 0\n", "line 2: duplicate header"),
             ("d 1 0\nn 0 -2\n", "node weights must be finite and nonnegative"),
             ("d 1 0\nn 0 inf\n", "node weights must be finite and nonnegative"),
+            ("d 1 0\nn 0 1e308\n", "node weights must be at most 1e+06"),
             ("d 1000001 0\n", "line 1: node count 1000001 exceeds 1000000"),
             ("d 2 0\nn 1 2\nn 1 3\n", "line 3: duplicate weight for node 1"),
         ],
@@ -756,6 +742,14 @@ class TestInstanceFormat:
     def test_non_finite_weight_rejected(self):
         with pytest.raises(FvspFormatError):
             parse_instance("d 1 0\nn 0 inf\n")
+
+    def test_weight_cap_binds_the_text_format_only(self):
+        assert parse_instance(f"d 1 0\nn 0 {MAX_WEIGHT!r}\n").weights == (MAX_WEIGHT,)
+        # an ICD node sums its clique's vertex weights, so the instance the
+        # pipeline builds from a graph within the cap may exceed it
+        g = WeightedGraph(3, [(0, 1), (1, 2), (0, 2)], [MAX_WEIGHT] * 3)
+        assert reduce_to_fvsp(g)[1].weights == (3 * MAX_WEIGHT,)
+        assert solve_ptolemaic_deletion(g).weight == 0.0
 
 
 class TestSolutionProperties:

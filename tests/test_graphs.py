@@ -1,5 +1,6 @@
 """Graph recognizers against hand checks and exhaustive brute force."""
 
+import math
 import random
 import time
 
@@ -417,6 +418,7 @@ class TestGraphFormat:
             ("p 2 0\nv 7 1.0\n", "line 2: vertex 7 out of range"),
             ("p 2 0\np 2 0\n", "line 2: duplicate header"),
             ("p 1 0\nv 0 nan\n", "vertex weights must be finite and nonnegative"),
+            ("p 1 0\nv 0 1e20\n", "vertex weights must be at most 1e+06"),
             ("p 1000001 0\n", "line 1: vertex count 1000001 exceeds 1000000"),
             ("p 2 0\nv 0 5\nv 0 7\n", "line 3: duplicate weight for vertex 0"),
             ("p 2 0\nv 1\nv 1 1.0\n", "line 3: duplicate weight for vertex 1"),
@@ -442,6 +444,11 @@ class TestWeightedGraphBasics:
                 WeightedGraph(1, [], [bad])
         with pytest.raises(GraphFormatError):
             parse_graph("p 1 0\nv 0 nan\n")
+
+    def test_weight_cap(self):
+        assert WeightedGraph(1, [], [graphs.MAX_WEIGHT]).weights == (graphs.MAX_WEIGHT,)
+        with pytest.raises(ValueError, match="at most"):
+            WeightedGraph(1, [], [math.nextafter(graphs.MAX_WEIGHT, math.inf)])
 
     def test_delete_relabels_densely(self):
         g = cycle_graph(5)
