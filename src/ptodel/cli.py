@@ -8,6 +8,7 @@ failure inside a stage (tagged in the message).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -193,8 +194,20 @@ def cmd_gen(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a rejected argument as a ``ValueError``, so ``main`` prints it
+    as one ``error: `` line and returns 2 like any other bad input.
+    Subparsers inherit the class."""
+
+    def error(self, message: str):
+        raise ValueError(message)
+
+
+# argparse keeps no per-parse state in the parser, so one serves every call;
+# it is built on the first call, not at import
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="ptodel",
         description="approximate weighted ptolemaic vertex deletion",
     )
@@ -251,8 +264,8 @@ _HANDLERS = {
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return _HANDLERS[args.command](args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -543,10 +543,71 @@ class TestOptions:
         ],
     )
     def test_removed_option_exits_2(self, capsys, command, extra, named):
+        code, out, err = run(capsys, *self.CALLS[command], *extra)
+        assert (code, out) == (2, "") and err.count("\n") == 1
+        assert err.startswith("error: ") and named in err, err
+
+    @pytest.mark.parametrize(
+        "argv, line",
+        [
+            ([], "error: the following arguments are required: command\n"),
+            (
+                ["gen", "--fixture", "gem", "--random", "3"],
+                "error: argument --random: not allowed with argument --fixture\n",
+            ),
+        ],
+    )
+    def test_rejected_arguments_are_one_error_line(self, capsys, argv, line):
+        assert run(capsys, *argv) == (2, "", line)
+
+    def test_help_exits_0(self, capsys):
         with pytest.raises(SystemExit) as exc:
-            main(self.CALLS[command] + extra)
-        assert exc.value.code == 2
-        assert named in capsys.readouterr().err
+            main(["--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: ptodel ")
+
+
+class TestSharedParser:
+    # after each call that sets an option or is rejected, one that leaves it
+    # at its default
+    CALLS = [
+        ["gen", "--random", "6", "--p", "0.5", "--seed", "3"],
+        ["gen", "--fixture", "gem"],
+        ["gen", "--fixture", "gem", "--random", "3"],
+        ["icd", "g.gr", "--oracle", "--budget", "1"],
+        ["icd", "g.gr", "--oracle"],
+        ["solve", "g.gr", "--bogus"],
+        ["solve", "g.gr"],
+        ["oracle", "pd", "g.gr", "--budget", "3"],
+        ["oracle", "pd", "g.gr"],
+    ]
+
+    def test_one_parser_carries_nothing_between_calls(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        write(tmp_path, "g.gr", format_graph(fixture_graph("gem")))
+        assert build_parser() is build_parser()
+        shared = [run(capsys, *argv) for argv in self.CALLS]
+        fresh = []
+        for argv in self.CALLS:
+            build_parser.cache_clear()
+            fresh.append(run(capsys, *argv))
+        assert shared == fresh
+        assert [code for code, _, _ in shared] == [0, 0, 2, 2, 0, 2, 0, 2, 0]
+
+    def test_two_calls_build_one_parser(self, capsys, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        build_parser.cache_clear()
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        for _ in range(2):
+            assert run(capsys, "gen", "--fixture", "gem")[0] == 0
+        # the root parser and one subparser per command, built once
+        assert len(built) == 7
 
 
 class TestSubprocess:
