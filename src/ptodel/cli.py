@@ -1,7 +1,7 @@
 """Command-line surface: parse graphs and instances, run stages or the whole
 pipeline, emit JSON/text/DOT, generate fixtures.
 
-Exit codes: 0 success, 2 bad input (parse/config/budget), 3 structural
+Exit codes: 0 success, 2 bad input (parse/config/budget), 3 any
 failure inside a stage (tagged in the message).
 """
 
@@ -30,6 +30,7 @@ from .graphs import (
     format_graph,
     is_ptolemaic,
     parse_graph,
+    run_stage,
 )
 from .lattice import (
     ORACLE_CLIQUE_BUDGET,
@@ -85,12 +86,12 @@ def cmd_icd(args: argparse.Namespace) -> int:
     if args.oracle:
         icd = brute_force_icd(g, args.budget)
     else:
-        witness = find_induced_c4(g) or find_induced_gem(g)
+        witness = run_stage("reduce", lambda: find_induced_c4(g) or find_induced_gem(g))
         if witness is not None:
             raise StageError(
                 "reduce", f"input is not (C4, gem)-free; obstruction: {list(witness)}"
             )
-        icd = build_icd(g)
+        icd = run_stage("reduce", build_icd, g)
     if args.fmt == "dot":
         print(icd_to_dot(icd), end="")
     else:
@@ -99,7 +100,7 @@ def cmd_icd(args: argparse.Namespace) -> int:
 
 
 def cmd_fvsp(args: argparse.Namespace) -> int:
-    sol = solve_fvsp(parse_instance(_read(args.input)))
+    sol = run_stage("fvsp", solve_fvsp, parse_instance(_read(args.input)))
     if args.fmt == "text":
         print(f"deleted {len(sol.deleted)} nodes, weight {sol.weight!r}, theta {sol.theta!r}")
     else:
@@ -146,11 +147,11 @@ def cmd_check(args: argparse.Namespace) -> int:
         raise ValueError("solution nests JSON too deeply") from None
     if first_record_tag(text) == "d":
         inst = parse_instance(text)
-        violation = validate_instance(inst)
+        violation = run_stage("fvsp", validate_instance, inst)
         if violation is not None:
             raise StageError("fvsp", f"invalid instance: {violation}")
         deleted = _deleted_ids(solution, inst.n)
-        bad = verify_fvsp_solution(inst, deleted)
+        bad = run_stage("fvsp", verify_fvsp_solution, inst, deleted)
         _emit(
             {
                 "feasible": bad is None,
@@ -161,8 +162,8 @@ def cmd_check(args: argparse.Namespace) -> int:
         return EXIT_OK
     g = parse_graph(text)
     deleted = _deleted_ids(solution, g.n)
-    remainder, old_ids = g.delete(deleted)
-    ok, obstruction = is_ptolemaic(remainder)
+    remainder, old_ids = run_stage("verify", g.delete, deleted)
+    ok, obstruction = run_stage("verify", is_ptolemaic, remainder)
     _emit(
         {
             "feasible": ok,

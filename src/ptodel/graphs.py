@@ -35,12 +35,25 @@ class BudgetExceededError(ValueError):
 
 
 class StageError(RuntimeError):
-    """A structural invariant failed inside a stage (``hitting``, ``reduce``,
-    ``fvsp`` or ``verify``); ``stage`` names it and the message leads with it."""
+    """A stage (``hitting``, ``reduce``, ``fvsp`` or ``verify``) failed: a
+    structural invariant broke, or ``run_stage`` caught another exception
+    there; ``stage`` names it and the message leads with it."""
 
     def __init__(self, stage: str, message: str):
         super().__init__(f"[{stage}] {message}")
         self.stage = stage
+
+
+def run_stage(stage: str, fn: Callable[..., T], *args) -> T:
+    """``fn(*args)``; any exception but a ``StageError`` is re-raised as one
+    tagged ``stage`` that names the exception's type and message."""
+    try:
+        return fn(*args)
+    except StageError:
+        raise
+    except Exception as exc:
+        detail = f"{type(exc).__name__}: {exc}" if str(exc) else type(exc).__name__
+        raise StageError(stage, detail) from exc
 
 
 def vset(vertices: Iterable[int]) -> VertexSet:
@@ -103,9 +116,6 @@ class WeightedGraph:
 
     def weight_of(self, vertices: Iterable[int]) -> float:
         return float(sum(self.weights[v] for v in sorted(vertices)))
-
-    def total_weight(self) -> float:
-        return float(sum(self.weights))
 
     def induced(self, keep: Iterable[int]) -> tuple["WeightedGraph", VertexSet]:
         """Induced subgraph on ``keep``; returns it plus the old ids of its

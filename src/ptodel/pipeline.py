@@ -27,6 +27,7 @@ from .graphs import (
     find_induced_c4,
     find_induced_gem,
     is_ptolemaic,
+    run_stage,
     vset,
 )
 from .lattice import InterCliqueDigraph, build_icd, is_ptolemaic_via_icd
@@ -160,24 +161,17 @@ class PipelineResult:
 
 
 def solve_ptolemaic_deletion(g: WeightedGraph) -> PipelineResult:
-    """Run both stages and verify the remainder with both recognizers."""
-    hitting = hit_c4_gem(g)
-    g_prime, kept = g.delete(hitting.deleted)
-    stage = "reduce"
-    try:
-        icd, inst = reduce_to_fvsp(g_prime)
-        stage = "fvsp"
-        fvsp_sol = solve_fvsp(inst)
-    except StageError:
-        raise
-    except Exception as exc:  # any other failure: its stage, and its type
-        detail = f"{type(exc).__name__}: {exc}" if str(exc) else type(exc).__name__
-        raise StageError(stage, detail) from exc
-    lifted_local = lift(icd, fvsp_sol.deleted)
-    lifted = vset(kept[v] for v in lifted_local)
+    """Run both stages and verify the remainder with both recognizers.  A
+    failure inside a stage is raised as a ``StageError`` tagged with it."""
+    hitting = run_stage("hitting", hit_c4_gem, g)
+    g_prime, kept = run_stage("reduce", g.delete, hitting.deleted)
+    icd, inst = run_stage("reduce", reduce_to_fvsp, g_prime)
+    fvsp_sol = run_stage("fvsp", solve_fvsp, inst)
+    lifted = vset(kept[v] for v in run_stage("fvsp", lift, icd, fvsp_sol.deleted))
     deleted = vset(set(hitting.deleted) | set(lifted))
-    remainder, _ = g.delete(deleted)
-    if not (is_ptolemaic(remainder)[0] and is_ptolemaic_via_icd(remainder)):
+    remainder, _ = run_stage("verify", g.delete, deleted)
+    ok = run_stage("verify", is_ptolemaic, remainder)[0]
+    if not (ok and run_stage("verify", is_ptolemaic_via_icd, remainder)):
         raise StageError("verify", "remainder failed a ptolemaic recognizer")
     return PipelineResult(
         deleted=deleted,

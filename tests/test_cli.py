@@ -9,7 +9,7 @@ from types import SimpleNamespace
 import pytest
 
 from generators import complete_multipartite, random_graph
-from ptodel import fvsp, graphs, pipeline
+from ptodel import cli, fvsp, graphs, pipeline
 from ptodel.cli import build_parser, main
 from ptodel.fixtures import cycle_graph, fixture_graph, path_graph
 from ptodel.graphs import MAX_HEADER_N, MAX_WEIGHT, format_graph, parse_graph
@@ -481,6 +481,34 @@ def test_every_exit_3_is_one_tagged_line(tmp_path, capsys, monkeypatch, case):
     assert (code, out) == (3, "") and err.count("\n") == 1
     assert re.match(r"^error: \[(hitting|reduce|fvsp|verify)\] \S", err), err
     assert err.startswith(f"error: [{stage}] ")
+
+
+# each stage entry a command calls: (name in cli, argv, input, solution, stage)
+CLI_STAGES = {
+    "solve_fvsp": (["fvsp"], ST_TEXT, None, "fvsp"),
+    "build_icd": (["icd"], C5_GR, None, "reduce"),
+    "is_ptolemaic": (["check"], C5_GR, "[]", "verify"),
+    "validate_instance": (["check"], ST_TEXT, "[]", "fvsp"),
+    "verify_fvsp_solution": (["check"], ST_TEXT, "[]", "fvsp"),
+}
+
+
+@pytest.mark.parametrize(
+    "exc, detail", [(MemoryError(), "MemoryError"), (ValueError("x"), "ValueError: x")]
+)
+@pytest.mark.parametrize("name", CLI_STAGES)
+def test_any_failure_in_a_stage_exits_3(tmp_path, capsys, monkeypatch, name, exc, detail):
+    # a ValueError raised inside a stage is a failure of that stage, not bad input
+    argv, text, solution, stage = CLI_STAGES[name]
+    argv = argv + [write(tmp_path, "in.txt", text)]
+    if solution is not None:
+        argv += ["--solution", write(tmp_path, "sol.json", solution)]
+
+    def fail(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(cli, name, fail)
+    assert run(capsys, *argv) == (3, "", f"error: [{stage}] {detail}\n")
 
 
 class TestOptions:

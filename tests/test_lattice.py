@@ -213,7 +213,7 @@ class TestBookkeepingInvariants:
                 rng, rng.randint(1, 8), 0.4, weights=(0.0, 7.0), zero_weight_p=0.3
             )
             icd = build_icd(g)
-            assert sum(icd.node_weights) == pytest.approx(g.total_weight())
+            assert sum(icd.node_weights) == pytest.approx(sum(g.weights))
 
 
 class TestOracleEquivalence:

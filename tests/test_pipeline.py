@@ -1,6 +1,7 @@
 """End-to-end deletion pipeline: hitting stage, reduction, closure/lift, and
 the correspondence between graph-side and lattice-side solutions."""
 
+import dataclasses
 import random
 import time
 
@@ -413,6 +414,72 @@ class TestEndToEnd:
         js = result_to_json(solve_ptolemaic_deletion(cycle_graph(5)))
         assert set(js) == {"deleted", "weight", "stages", "icd_nodes", "verification"}
         assert js["verification"] == {"obstruction_free": True, "lattice_forest": True}
+
+
+def _raise(exc):
+    def fail(*args, **kwargs):
+        raise exc
+
+    return fail
+
+
+class TestStageRunner:
+    """Any exception a stage of ``solve`` raises is a StageError tagged with
+    that stage: exit 3 and one line, never a traceback or a false exit 2."""
+
+    @pytest.mark.parametrize(
+        "exc, detail", [(MemoryError(), "MemoryError"), (ValueError("x"), "ValueError: x")]
+    )
+    @pytest.mark.parametrize(
+        "name, stage",
+        [
+            ("hit_c4_gem", "hitting"),
+            ("build_icd", "reduce"),
+            ("solve_fvsp", "fvsp"),
+            ("lift", "fvsp"),
+            ("is_ptolemaic", "verify"),
+            ("is_ptolemaic_via_icd", "verify"),
+        ],
+    )
+    def test_every_stage_is_tagged(
+        self, monkeypatch, tmp_path, capsys, name, stage, exc, detail
+    ):
+        monkeypatch.setattr(pipeline, name, _raise(exc))
+        gr = tmp_path / "g.gr"
+        gr.write_text(format_graph(cycle_graph(5)))
+        assert main(["solve", str(gr)]) == 3
+        assert capsys.readouterr() == ("", f"error: [{stage}] {detail}\n")
+
+    def test_library_raises_a_stage_error(self, monkeypatch):
+        monkeypatch.setattr(pipeline, "hit_c4_gem", _raise(MemoryError()))
+        with pytest.raises(StageError) as info:
+            solve_ptolemaic_deletion(cycle_graph(5))
+        assert info.value.stage == "hitting"
+        assert isinstance(info.value.__cause__, MemoryError)
+
+    def test_value_error_inside_a_stage_is_not_bad_input(self, monkeypatch, tmp_path, capsys):
+        monkeypatch.setattr(pipeline, "linprog", _raise(ValueError("bad bounds")))
+        gr = tmp_path / "g.gr"
+        gr.write_text(format_graph(cycle_graph(4)))
+        assert main(["solve", str(gr)]) == 3
+        assert capsys.readouterr() == ("", "error: [hitting] ValueError: bad bounds\n")
+
+    def test_lift_refusal_is_an_fvsp_failure(self, monkeypatch, tmp_path, capsys):
+        # an FVSP answer that is not downward-closed: lift's own ValueError
+        icd = build_icd(cycle_graph(5))
+        x = next(x for x in range(icd.n_nodes) if icd.children[x])
+        real = pipeline.solve_fvsp
+        monkeypatch.setattr(
+            pipeline, "solve_fvsp", lambda inst: dataclasses.replace(real(inst), deleted=(x,))
+        )
+        gr = tmp_path / "g.gr"
+        gr.write_text(format_graph(cycle_graph(5)))
+        assert main(["solve", str(gr)]) == 3
+        line = (
+            "error: [fvsp] ValueError: node set is not downward-closed: "
+            f"{x} in, child {icd.children[x][0]} out\n"
+        )
+        assert capsys.readouterr() == ("", line)
 
 
 class TestSolutionCorrespondence:
