@@ -23,6 +23,7 @@ from .fvsp import (
     verify_fvsp_solution,
 )
 from .graphs import (
+    MAX_HEADER_N,
     StageError,
     find_induced_c4,
     find_induced_gem,
@@ -190,6 +191,8 @@ def cmd_gen(args: argparse.Namespace) -> int:
     else:
         if not 0.0 <= args.p <= 1.0:
             raise ValueError(f"--p must lie in [0, 1]: {args.p!r}")
+        if args.random > MAX_HEADER_N:
+            raise ValueError(f"--random must be at most {MAX_HEADER_N}: {args.random}")
         g = fixtures.erdos_renyi(args.random, args.p, args.seed, weights)
     print(format_graph(g), end="")
     return EXIT_OK

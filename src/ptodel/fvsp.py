@@ -33,7 +33,9 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 from scipy.optimize import linprog
 
-from .graphs import MAX_WEIGHT, StageError, _bits_to_list, _mask_of, read_records, union_find
+from .graphs import (
+    MAX_WEIGHT, StageError, _bits_to_list, _mask_of, checked_ids, read_records, union_find
+)
 
 LP_RESIDUAL_TOL = 1e-8
 
@@ -143,7 +145,7 @@ class FvspInstance:
         return None
 
     def weight_of(self, nodes: Iterable[int]) -> float:
-        return float(sum(self.weights[v] for v in sorted(nodes)))
+        return float(sum(self.weights[v] for v in checked_ids(sorted(nodes), self.n)))
 
 
 def validate_instance(inst: FvspInstance) -> Optional[InstanceViolation]:
@@ -573,12 +575,12 @@ def verify_fvsp_solution(
     inst: FvspInstance, deleted: Iterable[int]
 ) -> Optional[FvspViolation]:
     """Check downward closure and that the remainder's underlying graph is a
-    forest; None when feasible, else the first violation."""
-    sel = set(deleted)
-    for v in sorted(sel):
-        for c in inst.out_adj[v]:
-            if c not in sel:
-                return FvspViolation("not-downward-closed", (v, c))
+    forest; None when feasible, else the first violation: the least arc
+    leaving the set, or the first arc of the remainder that closes a cycle."""
+    sel = set(checked_ids(sorted(deleted), inst.n))
+    leaving = next(((u, v) for u, v in inst.arcs if u in sel and v not in sel), None)
+    if leaving is not None:
+        return FvspViolation("not-downward-closed", leaving)
     kept = [(u, v) for u, v in inst.arcs if u not in sel and v not in sel]
     closing = union_find(inst.n, kept)[1]
     return FvspViolation("cycle", closing[0]) if closing else None

@@ -14,10 +14,11 @@ A graph is ptolemaic exactly when it is chordal (hole-free) and gem-free.
 from __future__ import annotations
 
 import math
-from typing import Callable, Iterable, Optional, TypeVar
+from typing import Callable, Iterable, Optional, Sequence, TypeVar
 
 VertexSet = tuple[int, ...]
 T = TypeVar("T")
+Ids = TypeVar("Ids", bound=Sequence[int])
 
 # the largest vertex (or FVSP node) weight an input may carry, three decades
 # below trouble: on seeded random graphs HiGHS solved both LPs with every
@@ -59,6 +60,13 @@ def run_stage(stage: str, fn: Callable[..., T], *args) -> T:
 def vset(vertices: Iterable[int]) -> VertexSet:
     """Canonical vertex set: sorted, duplicate-free tuple."""
     return tuple(sorted(set(vertices)))
+
+
+def checked_ids(ids: Ids, n: int) -> Ids:
+    """The sorted ``ids``, once their ends are checked to lie in [0, n)."""
+    if ids and not (0 <= ids[0] and ids[-1] < n):
+        raise ValueError(f"id {ids[0] if ids[0] < 0 else ids[-1]} is outside [0, {n})")
+    return ids
 
 
 class WeightedGraph:
@@ -115,12 +123,12 @@ class WeightedGraph:
         return self.adj_bits[v] | (1 << v)
 
     def weight_of(self, vertices: Iterable[int]) -> float:
-        return float(sum(self.weights[v] for v in sorted(vertices)))
+        return float(sum(self.weights[v] for v in checked_ids(sorted(vertices), self.n)))
 
     def induced(self, keep: Iterable[int]) -> tuple["WeightedGraph", VertexSet]:
         """Induced subgraph on ``keep``; returns it plus the old ids of its
         vertices (new id i corresponds to old id ``mapping[i]``)."""
-        old = vset(keep)
+        old = checked_ids(vset(keep), self.n)
         pos = {v: i for i, v in enumerate(old)}
         edges = [
             (pos[u], pos[v]) for u, v in self.edges if u in pos and v in pos
@@ -129,7 +137,7 @@ class WeightedGraph:
         return sub, old
 
     def delete(self, remove: Iterable[int]) -> tuple["WeightedGraph", VertexSet]:
-        gone = set(remove)
+        gone = set(checked_ids(sorted(remove), self.n))
         return self.induced(v for v in range(self.n) if v not in gone)
 
     def __eq__(self, other: object) -> bool:
@@ -523,18 +531,20 @@ def union_find(
     """Union-find over ``0..n-1``: each node's root, and the edges that
     closed a cycle, in input order (none iff the edges form a forest)."""
     parent = list(range(n))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
     closing = []
     for a, b in edges:
-        ra, rb = find(a), find(b)
+        ra, rb = a, b  # their roots, found inline with path halving
+        while parent[ra] != ra:
+            parent[ra] = ra = parent[parent[ra]]
+        while parent[rb] != rb:
+            parent[rb] = rb = parent[parent[rb]]
         if ra == rb:
             closing.append((a, b))
         else:
             parent[ra] = rb
-    return [find(v) for v in range(n)], closing
+    for v in range(n):
+        r = v
+        while parent[r] != r:
+            r = parent[r]
+        parent[v] = r
+    return parent, closing

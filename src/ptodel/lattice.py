@@ -47,7 +47,7 @@ class InterCliqueDigraph:
 
     ``cliques[i]`` is the vertex set of node i, ``src_sets[i]`` the sorted
     indices into ``max_cliques`` of the maximal cliques containing it.  Arcs
-    are (parent, child) pairs with ``cliques[parent] > cliques[child]``.
+    are sorted (parent, child) pairs with ``cliques[parent] > cliques[child]``.
     ``phi[v]`` maps vertex v to the node of its canonical clique (the unique
     minimal node containing v), and ``vertex_weights`` are the graph's
     weights.  The views ``phi_inv`` (the preimages, which partition the
@@ -78,13 +78,6 @@ class InterCliqueDigraph:
         return tuple(
             float(sum(self.vertex_weights[v] for v in vs)) for vs in self.phi_inv
         )
-
-    @cached_property
-    def children(self) -> tuple[tuple[int, ...], ...]:
-        out: list[list[int]] = [[] for _ in range(self.n_nodes)]
-        for p, c in self.arcs:
-            out[p].append(c)
-        return tuple(tuple(sorted(cs)) for cs in out)
 
     def underlying_is_forest(self) -> bool:
         return not union_find(self.n_nodes, self.arcs)[1]

@@ -18,6 +18,7 @@ from .graphs import (
     VertexSet,
     WeightedGraph,
     _bits_to_list,
+    _mask_of,
     is_ptolemaic,
     union_find,
 )
@@ -129,51 +130,43 @@ def exact_c4gem_hitting(
     return _lightest_hitting_set(g, budget, lambda subset: True)
 
 
-def _undirected_cycle(
-    adj: list[list[int]], remaining: list[int]
-) -> Optional[list[int]]:
-    """Some cycle of the undirected graph restricted to ``remaining``, as a
-    node list, or None.  Deterministic (sorted roots and adjacency)."""
-    alive = set(remaining)
-    parent: dict[int, Optional[int]] = {}
-
-    def dfs(root: int) -> Optional[list[int]]:
-        parent[root] = None
-        stack = [(root, iter(adj[root]))]
-        while stack:
-            u, it = stack[-1]
-            advanced = False
-            for w in it:
-                if w not in alive:
-                    continue
-                if w not in parent:
-                    parent[w] = u
-                    stack.append((w, iter(adj[w])))
-                    advanced = True
-                    break
-                if w != parent[u]:
-                    cycle = [u]
-                    a = u
-                    while a != w:
-                        a = parent[a]
-                        cycle.append(a)
-                    return cycle
-            if not advanced:
-                stack.pop()
+def _cycle(n: int, edges: list[tuple[int, int]]) -> Optional[list[int]]:
+    """Some cycle of the undirected graph ``edges`` on 0..n-1, as a node
+    list, or None: the first edge ``union_find`` rejects, plus the path
+    between its ends in the forest of the edges before it."""
+    closing = union_find(n, edges)[1]
+    if not closing:
         return None
+    a, b = closing[0]
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for u, v in edges[: edges.index((a, b))]:
+        adj[u].append(v)
+        adj[v].append(u)
+    parent = [-1] * n  # of the forest rooted at a, until it reaches b
+    parent[a] = a
+    stack = [a]
+    while parent[b] < 0:
+        u = stack.pop()
+        for w in adj[u]:
+            if parent[w] < 0:
+                parent[w] = u
+                stack.append(w)
+    path = [b]
+    while path[-1] != a:
+        path.append(parent[path[-1]])
+    return path
 
-    for root in remaining:
-        if root not in parent:
-            got = dfs(root)
-            if got:
-                return got
-    return None
 
-
-def _exact_fvsp_component(
-    inst: FvspInstance, und: list[list[int]], nodes: list[int]
-) -> int:
-    """The optimal deletion mask within one weakly connected component."""
+def _exact_fvsp_component(inst: FvspInstance, arcs: list[tuple[int, int]]) -> list[int]:
+    """The optimal deletion set within the weakly connected component of
+    ``arcs``, searched on its nodes relabelled 0..k-1 (so a disjoint union
+    costs the sum of its parts)."""
+    nodes = sorted({v for arc in arcs for v in arc})
+    local = {v: i for i, v in enumerate(nodes)}
+    edges = [(local[u], local[v]) for u, v in arcs]
+    bits = [1 << a | 1 << b for a, b in edges]
+    des = [_mask_of(local[w] for w in _bits_to_list(inst.des_masks[v])) for v in nodes]
+    weights = [inst.weights[v] for v in nodes]
     best_w, best = float("inf"), None
     seen: set[int] = set()
     stack = [0]
@@ -182,18 +175,18 @@ def _exact_fvsp_component(
         if del_mask in seen:
             continue
         seen.add(del_mask)
-        w = inst.weight_of(_bits_to_list(del_mask))
+        # summed in id order, as ``inst.weight_of`` sums
+        w = float(sum(weights[x] for x in _bits_to_list(del_mask)))
         if w >= best_w:
             continue
-        remaining = [v for v in nodes if not (del_mask >> v) & 1]
-        cycle = _undirected_cycle(und, remaining)
+        kept = [e for e, e_bits in zip(edges, bits) if not del_mask & e_bits]
+        cycle = _cycle(len(nodes), kept)
         if cycle is None:
-            if w < best_w:
-                best_w, best = w, del_mask
+            best_w, best = w, del_mask
             continue
-        stack.extend(del_mask | inst.des_masks[v] for v in sorted(cycle, reverse=True))
+        stack.extend(del_mask | des[x] for x in sorted(cycle, reverse=True))
     assert best is not None
-    return best
+    return [nodes[x] for x in _bits_to_list(best)]
 
 
 def exact_fvsp(
@@ -205,28 +198,19 @@ def exact_fvsp(
     optimum is the union of the components' optima, and each component that
     holds a cycle is searched on its own.  The search is branch and bound
     over cycle vertices: a remaining cycle must lose some vertex together
-    with its descendant closure, so branching on the cycle's vertices covers
-    every feasible solution; visited deletion sets are memoized and branches
-    at or above the incumbent weight are cut.  It is depth first from an
-    explicit stack, children in ascending vertex order, because its depth
-    grows with the number of cycles broken.
+    with its descendant closure, so branching on the vertices of one cycle
+    (``_cycle``'s) covers every feasible solution; visited deletion sets are
+    memoized and branches at or above the incumbent weight are cut.  It is
+    depth first from an explicit stack, children in ascending vertex order,
+    because its depth grows with the number of cycles broken.
     """
     _refuse_over(inst.n, budget, "nodes")
     if inst.topo_order is None:
         raise ValueError("oracle needs an acyclic digraph")
-    und: list[list[int]] = [[] for _ in range(inst.n)]
-    for u, v in inst.arcs:
-        und[u].append(v)
-        und[v].append(u)
-    und = [sorted(ws) for ws in und]
     root, closing = union_find(inst.n, inst.arcs)
-    cyclic = {root[u] for u, _ in closing}
-    components: dict[int, list[int]] = {}
-    for v in range(inst.n):
-        if root[v] in cyclic:
-            components.setdefault(root[v], []).append(v)
-    best = 0
-    for nodes in components.values():
-        best |= _exact_fvsp_component(inst, und, nodes)
-    deleted = _bits_to_list(best)
+    arcs_of: dict[int, list[tuple[int, int]]] = {root[u]: [] for u, _ in closing}
+    for u, v in inst.arcs:
+        if root[u] in arcs_of:
+            arcs_of[root[u]].append((u, v))
+    deleted = sorted(v for arcs in arcs_of.values() for v in _exact_fvsp_component(inst, arcs))
     return inst.weight_of(deleted), tuple(deleted)

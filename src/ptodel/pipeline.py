@@ -24,6 +24,7 @@ from .graphs import (
     WeightedGraph,
     all_induced_c4,
     all_induced_gems,
+    checked_ids,
     find_induced_c4,
     find_induced_gem,
     is_ptolemaic,
@@ -134,15 +135,13 @@ def lift(icd: InterCliqueDigraph, nodes: Iterable[int]) -> VertexSet:
     """Vertices whose canonical clique lies in ``nodes``.
 
     Requires a downward-closed node set; with a forest remainder the lift is
-    a ptolemaic deletion set of the same weight.
+    a ptolemaic deletion set of the same weight.  Otherwise the error names
+    the least arc leaving the set.
     """
-    sel = set(nodes)
-    for x in sel:
-        for c in icd.children[x]:
-            if c not in sel:
-                raise ValueError(
-                    f"node set is not downward-closed: {x} in, child {c} out"
-                )
+    sel = set(checked_ids(sorted(nodes), icd.n_nodes))
+    leaving = next(((x, c) for x, c in icd.arcs if x in sel and c not in sel), None)
+    if leaving is not None:
+        raise ValueError("node set is not downward-closed: {} in, child {} out".format(*leaving))
     return tuple(v for v, x in enumerate(icd.phi) if x in sel)
 
 

@@ -553,6 +553,13 @@ def parents(icd: InterCliqueDigraph) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(sorted(ps)) for ps in out)
 
 
+def children(icd: InterCliqueDigraph) -> tuple[tuple[int, ...], ...]:
+    out: list[list[int]] = [[] for _ in range(icd.n_nodes)]
+    for p, c in icd.arcs:
+        out[p].append(c)
+    return tuple(tuple(sorted(cs)) for cs in out)
+
+
 def _reach(adj, x: int, include_self: bool) -> frozenset[int]:
     seen = {x}
     stack = [x]
@@ -569,7 +576,7 @@ def _reach(adj, x: int, include_self: bool) -> frozenset[int]:
 def descendants(
     icd: InterCliqueDigraph, x: int, include_self: bool = True
 ) -> frozenset[int]:
-    return _reach(icd.children, x, include_self)
+    return _reach(children(icd), x, include_self)
 
 
 def ancestors(
@@ -583,6 +590,7 @@ def closure(icd: InterCliqueDigraph, seeds: Iterable[int]) -> frozenset[int]:
     of a member and (b) every node with empty preimage whose immediate
     descendants are all absorbed."""
     closed = set(seeds)
+    kids_of = children(icd)
     changed = True
     while changed:
         changed = False
@@ -594,7 +602,7 @@ def closure(icd: InterCliqueDigraph, seeds: Iterable[int]) -> frozenset[int]:
         for x in range(icd.n_nodes):
             if x in closed or icd.phi_inv[x]:
                 continue
-            kids = icd.children[x]
+            kids = kids_of[x]
             if kids and all(c in closed for c in kids):
                 closed.add(x)
                 changed = True

@@ -14,6 +14,7 @@ import pytest
 from generators import random_c4gem_free, random_graph, random_multitree
 from helpers_brute import (
     all_graph_masks,
+    children,
     closure,
     graph_from_mask,
     icd_equivalent,
@@ -359,8 +360,9 @@ def test_criterion_7_reduction_correctness():
             if is_ptolemaic(rem)[0]:
                 sel = trial
         mapped = closure(icd, {icd.phi[v] for v in sel})
+        kids_of = children(icd)
         for x in mapped:
-            if not all(c in mapped for c in icd.children[x]):
+            if not all(c in mapped for c in kids_of[x]):
                 failures.append(("a-not-closed", g.edges))
                 break
         else:

@@ -4,6 +4,7 @@ import argparse
 import json
 import random
 import re
+import time
 from types import SimpleNamespace
 
 import pytest
@@ -359,6 +360,13 @@ class TestGen:
     def test_bad_random_options_exit_2(self, capsys, extra, line):
         code, out, err = run(capsys, "gen", "--random", "6", *extra)
         assert (code, out, err) == (2, "", f"error: {line}\n")
+
+    def test_random_above_the_header_cap_exit_2(self, capsys):
+        # refused before any edge is drawn: the generator draws about N²/2 times
+        start = time.perf_counter()
+        code, out, err = run(capsys, "gen", "--random", str(MAX_HEADER_N + 1))
+        assert (code, out, err) == (2, "", f"error: --random must be at most 1000000: {MAX_HEADER_N + 1}\n")
+        assert time.perf_counter() - start < 1
 
     def test_unknown_fixture_exit_2(self, capsys):
         code, _, err = run(capsys, "gen", "--fixture", "nonsense")

@@ -542,6 +542,21 @@ class TestVerify:
         bad = verify_fvsp_solution(ST, [])
         assert bad.detail == (1, 3) and str(bad) == "cycle: (1, 3)"
 
+    def test_names_the_least_open_arc(self):
+        # a set iterates 8 before 5; the witness is still the least arc out
+        inst = FvspInstance(10, [(5, 6), (8, 9)], [1.0] * 10)
+        assert list({8, 5}) == [8, 5]
+        bad = verify_fvsp_solution(inst, {8, 5})
+        assert (bad.kind, bad.detail) == ("not-downward-closed", (5, 6))
+
+    @pytest.mark.parametrize("bad", [-1, 3])
+    def test_ids_outside_the_instance_rejected(self, bad):
+        # -1 used to pass as feasible, and 3 raised an IndexError
+        inst = FvspInstance(3, [(0, 1)], [1.0, 1.0, 1.0])
+        for call in (lambda ids: verify_fvsp_solution(inst, ids), inst.weight_of):
+            with pytest.raises(ValueError, match=rf"^id {bad} is outside \[0, 3\)$"):
+                call([bad])
+
 
 class TestParams:
     # the rounding constants fvsp.EPSILON, ALPHA and BETA

@@ -19,11 +19,13 @@ from helpers_brute import (
     is_chordal_greedy_simplicial,
     is_ptolemaic_brute,
     maximal_cliques_brute,
+    remainder_is_forest,
     shortest_hole_brute,
     twin_classes,
 )
 from ptodel import graphs
 from ptodel.fixtures import complete_graph, cycle_graph, fixture_graph, path_graph
+from ptodel.fvsp import FvspInstance
 from ptodel.graphs import (
     GraphFormatError,
     WeightedGraph,
@@ -37,6 +39,7 @@ from ptodel.graphs import (
     is_ptolemaic,
     maximal_cliques,
     parse_graph,
+    union_find,
 )
 
 
@@ -462,3 +465,38 @@ class TestWeightedGraphBasics:
     def test_weight_of_sums_in_id_order(self):
         g = WeightedGraph(3, [], [0.1, 0.2, 0.3])
         assert g.weight_of([2, 1, 0]) == g.weight_of({2, 0, 1}) == (0.1 + 0.2) + 0.3
+
+    @pytest.mark.parametrize("bad", [-1, 3])
+    def test_ids_outside_the_graph_rejected(self, bad):
+        # -1 would read the last vertex, and delete([-1]) deleted nothing
+        g = WeightedGraph(3, [(0, 1), (1, 2)], [1.0, 2.0, 4.0])
+        for call in (g.weight_of, g.induced, g.delete):
+            with pytest.raises(ValueError, match=rf"^id {bad} is outside \[0, 3\)$"):
+                call([1, bad])
+
+
+class TestUnionFind:
+    def test_closing_arcs_exactly_when_not_a_forest(self):
+        # against helpers_brute.remainder_is_forest, an independent copy, and
+        # a component labelling by search
+        rng = random.Random(29)
+        for _ in range(300):
+            n = rng.randint(1, 10)
+            pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+            picked = rng.sample(pairs, rng.randint(0, min(len(pairs), 14)))
+            arcs = [(u, v) if rng.random() < 0.5 else (v, u) for u, v in picked]
+            root, closing = union_find(n, arcs)
+            assert (not closing) == remainder_is_forest(FvspInstance(n, arcs, [1.0] * n), ())
+            assert len(closing) == len(arcs) - n + len(set(root))
+            adj = {v: set() for v in range(n)}
+            for u, v in arcs:
+                adj[u].add(v)
+                adj[v].add(u)
+            for v in range(n):
+                seen, todo = {v}, [v]
+                while todo:
+                    for w in adj[todo.pop()] - seen:
+                        seen.add(w)
+                        todo.append(w)
+                assert {w for w in range(n) if root[w] == root[v]} == seen
+                assert root[root[v]] == root[v]

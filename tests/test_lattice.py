@@ -7,6 +7,7 @@ import pytest
 from helpers_brute import (
     all_graph_masks,
     ancestors,
+    children,
     close_sources,
     descendants,
     graph_from_mask,
@@ -386,8 +387,7 @@ class TestLatticeLemmas:
         # a node with two or more immediate descendants is exactly the
         # intersection of any two of their source sets
         for icd in _sample_icds(seed=7, count=30):
-            for x in range(icd.n_nodes):
-                kids = icd.children[x]
+            for x, kids in enumerate(children(icd)):
                 if len(kids) < 2:
                     continue
                 sx = set(icd.src_sets[x])

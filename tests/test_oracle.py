@@ -7,8 +7,8 @@ import sys
 import pytest
 
 from generators import random_graph, random_multitree
-from helpers_brute import exact_fvsp_by_ideals
-from ptodel import graphs
+from helpers_brute import exact_fvsp_by_ideals, remainder_is_forest
+from ptodel import graphs, oracle
 from ptodel.fixtures import cycle_graph, fixture_graph, path_graph
 from ptodel.fvsp import FvspInstance, verify_fvsp_solution
 from ptodel.graphs import WeightedGraph, is_ptolemaic
@@ -137,6 +137,30 @@ class TestExactFvsp:
         finally:
             sys.setrecursionlimit(limit)
         assert (weight, sel) == (0.0, tuple(4 * i for i in range(k)))
+
+    def test_branching_cycle_is_a_cycle_of_the_surviving_graph(self, monkeypatch):
+        # every cycle the search branches on, from the first arc union_find
+        # rejects: at least 3 distinct nodes, each consecutive pair adjacent,
+        # last and first adjacent; None exactly on a forest
+        seen = []
+        real = oracle._cycle
+
+        def record(n, edges):
+            seen.append((n, edges, real(n, edges)))
+            return seen[-1][2]
+
+        monkeypatch.setattr(oracle, "_cycle", record)
+        rng = random.Random(61)
+        for _ in range(60):
+            exact_fvsp(random_multitree(rng, rng.randint(3, 12)))
+        assert sum(cycle is not None for _, _, cycle in seen) > 100
+        for n, edges, cycle in seen:
+            forest = remainder_is_forest(FvspInstance(n, edges, [1.0] * n), ())
+            assert (cycle is None) == forest
+            if cycle is not None:
+                adjacent = {frozenset(e) for e in edges}
+                assert len(cycle) >= 3 and len(set(cycle)) == len(cycle)
+                assert all(frozenset(p) in adjacent for p in zip(cycle, cycle[1:] + cycle[:1]))
 
     def test_against_ideal_scan(self):
         rng = random.Random(53)

@@ -9,6 +9,7 @@ import pytest
 
 from generators import random_c4gem_free, random_graph
 from helpers_brute import (
+    children,
     closure,
     downward_closed_sets,
     hitting_lp_brute,
@@ -283,7 +284,7 @@ class TestClosure:
     def test_empty_preimage_parent_absorbed(self):
         icd = build_icd(cycle_graph(5))
         enode = next(i for i in range(10) if len(icd.cliques[i]) == 2)
-        kids = set(icd.children[enode])
+        kids = set(children(icd)[enode])
         assert enode in closure(icd, kids)
 
 
@@ -311,6 +312,22 @@ class TestLift:
         enode = next(i for i in range(10) if len(icd.cliques[i]) == 2)
         with pytest.raises(ValueError):
             lift(icd, {enode})
+
+    def test_names_the_least_open_arc(self):
+        # C10's edge nodes are 0..9, each with two vertex sinks; a set
+        # iterates 8 before 5, and the error still names node 5's arc
+        icd = build_icd(cycle_graph(10))
+        assert list({8, 5}) == [8, 5] and children(icd)[5]
+        child = children(icd)[5][0]
+        with pytest.raises(ValueError, match=f"^node set is not downward-closed: 5 in, child {child} out$"):
+            lift(icd, {8, 5})
+
+    @pytest.mark.parametrize("bad", [-1, 10])
+    def test_ids_outside_the_icd_rejected(self, bad):
+        # -1 used to lift to (), and 10 raised an IndexError
+        icd = build_icd(cycle_graph(5))
+        with pytest.raises(ValueError, match=rf"^id {bad} is outside \[0, 10\)$"):
+            lift(icd, {bad})
 
 
 class TestEndToEnd:
@@ -467,7 +484,7 @@ class TestStageRunner:
     def test_lift_refusal_is_an_fvsp_failure(self, monkeypatch, tmp_path, capsys):
         # an FVSP answer that is not downward-closed: lift's own ValueError
         icd = build_icd(cycle_graph(5))
-        x = next(x for x in range(icd.n_nodes) if icd.children[x])
+        x, kids = next((x, kids) for x, kids in enumerate(children(icd)) if kids)
         real = pipeline.solve_fvsp
         monkeypatch.setattr(
             pipeline, "solve_fvsp", lambda inst: dataclasses.replace(real(inst), deleted=(x,))
@@ -477,7 +494,7 @@ class TestStageRunner:
         assert main(["solve", str(gr)]) == 3
         line = (
             "error: [fvsp] ValueError: node set is not downward-closed: "
-            f"{x} in, child {icd.children[x][0]} out\n"
+            f"{x} in, child {kids[0]} out\n"
         )
         assert capsys.readouterr() == ("", line)
 
@@ -506,8 +523,9 @@ class TestSolutionCorrespondence:
             icd = build_icd(g)
             mapped = closure(icd, {icd.phi[v] for v in sel})
             # downward closed
+            kids_of = children(icd)
             for x in mapped:
-                assert all(c in mapped for c in icd.children[x])
+                assert all(c in mapped for c in kids_of[x])
             # forest remainder
             inst = FvspInstance(icd.n_nodes, icd.arcs, icd.node_weights)
             assert remainder_is_forest(inst, mapped)
